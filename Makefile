@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test race benchbuild expbuild bench torture realcrash churn
+.PHONY: check vet build test race lockstress benchbuild expbuild bench torture realcrash churn
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -13,8 +13,9 @@ REAL_ROUNDS ?= 20
 ## bench-only code can't rot between bench runs, a compile+link of the
 ## experiment runner (T20 and friends live outside _test files), a short
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
-## gate over real files, and the sustained-churn steady-state gate.
-check: vet build test race benchbuild expbuild torture realcrash churn
+## gate over real files, the sustained-churn steady-state gate, and the
+## lock-manager stress gate.
+check: vet build test race lockstress benchbuild expbuild torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +28,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
+
+## lockstress: the waits-for graph under contention, many times over —
+## a stale edge shows up as a false ErrDeadlock in the lock stress test,
+## a missing one as a hang the timeout turns into a failure.
+lockstress:
+	$(GO) test -count=50 -timeout 300s -run 'TestConcurrentStress|TestConcurrentTransactionsWithAborts' ./internal/lock ./internal/core
 
 benchbuild:
 	$(GO) test -run '^$$' -bench '^$$' ./... >/dev/null

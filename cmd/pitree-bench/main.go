@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (T1..T20, F1, F2) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (T1..T21, F1, F2) or 'all'")
 	full := flag.Bool("full", false, "larger workload sizes (slower, stabler numbers)")
 	jsonPath := flag.String("json", "", "also write machine-readable metrics to this file")
 	flag.Parse()
@@ -60,6 +60,7 @@ func main() {
 		{"T18", func() { bench.T18FileStorage(os.Stdout, p) }, "durable file-backed storage: fsync tax + group commit"},
 		{"T19", func() { bench.T19PipelinedCommit(os.Stdout, p) }, "pipelined commit: ELR + write/sync overlap vs serial"},
 		{"T20", func() { bench.T20BatchedOps(os.Stdout, p) }, "vectorized paths: batched MultiPut + scan read-ahead"},
+		{"T21", func() { bench.T21RestartWindow(os.Stdout, p) }, "restart time vs total log volume at a fixed window"},
 	}
 
 	want := map[string]bool{}

@@ -434,7 +434,8 @@ func runRealCrash(cfg tortureConfig) error {
 		syncPol := []string{"always", "never"}[rng.Intn(2)]
 		killAfter := time.Duration(2+rng.Intn(150)) * time.Millisecond
 		recWorkers := 1 << rng.Intn(4)
-		clean, err := realCrashRound(bin, seed, kind, syncPol, killAfter, recWorkers, cfg)
+		var rs realRecovery
+		clean, err := realCrashRound(bin, seed, kind, syncPol, killAfter, recWorkers, cfg, &rs)
 		if err != nil {
 			return fmt.Errorf("real round %d (tree=%s sync=%s kill=%v workers=%d seed=%d): %w\nreproduce with: pitree-verify -torture -real -seed %d -rounds %d",
 				round, kind.name, syncPol, killAfter, recWorkers, seed, err, cfg.seed, round+1)
@@ -443,14 +444,22 @@ func runRealCrash(cfg tortureConfig) error {
 		if clean {
 			outcome = "finished"
 		}
-		fmt.Printf("real round %d ok (tree=%s sync=%s kill=%v recovery-workers=%d child=%s)\n",
-			round, kind.name, syncPol, killAfter, recWorkers, outcome)
+		fmt.Printf("real round %d ok (tree=%s sync=%s kill=%v recovery-workers=%d child=%s replay=%d B/%d rec image=%d B)\n",
+			round, kind.name, syncPol, killAfter, recWorkers, outcome, rs.replayBytes, rs.replayRecords, rs.imageBytes)
 	}
 	fmt.Println("all real-crash rounds verified: acked commits durable, no ghosts, trees well-formed")
 	return nil
 }
 
-func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, recWorkers int, cfg tortureConfig) (clean bool, err error) {
+// realRecovery is what a real-crash round's restart read: the WAL bytes
+// and records replayed from the segment files, and the size of the log
+// image recovery ran over (the retained window, not the absolute LSN).
+type realRecovery struct {
+	replayBytes, replayRecords int64
+	imageBytes                 int
+}
+
+func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, recWorkers int, cfg tortureConfig, rs *realRecovery) (clean bool, err error) {
 	dir, err := os.MkdirTemp("", "pitree-real-*")
 	if err != nil {
 		return false, err
@@ -537,7 +546,10 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 
 	// Space audit over the replayed log (the shadow seeds itself from
 	// the checkpoint's space image, so segment recycling is fine).
-	shadow, err := recovery.AuditSpace(e2.Log.FullImage())
+	img := e2.Log.FullImage()
+	ws, _ := e2.FileStats()
+	rs.replayBytes, rs.replayRecords, rs.imageBytes = ws.ReplayBytes, ws.ReplayRecords, img.Size()
+	shadow, err := recovery.AuditSpace(img)
 	if err != nil {
 		return false, fmt.Errorf("space audit: %v", err)
 	}

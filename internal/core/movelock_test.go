@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/keys"
+	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestRecordMoveLocksBlockSplit exercises the record-set realization of
@@ -103,5 +105,56 @@ func TestRecordMoveLocksCorrectness(t *testing.T) {
 	shape2 := fx2.mustVerify(t)
 	if shape2.Records != 40 {
 		t.Fatalf("after restart: records = %d", shape2.Records)
+	}
+}
+
+// TestAbortedInTxnSplitMarksSiblingDead: under CP a transaction abort
+// undoes the transaction's own splits and frees their new pages. A
+// traversal can still hold a pointer to such a page, read before the
+// undo; once the abort drops its move locks that traversal would update
+// an unreachable orphan and the committed change would be lost. The
+// abort must leave every such page marked dead, so the traversal retries.
+func TestAbortedInTxnSplitMarksSiblingDead(t *testing.T) {
+	fx := newFixture(t, engine.Options{PageOriented: true}, Options{
+		LeafCapacity: 8, IndexCapacity: 8, Consolidation: true, NoCompletion: true,
+	})
+	for i := 0; i < 40; i++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fx.tree.Stats.InTxnSplits.Load()
+	tx := fx.e.TM.Begin()
+	for i := 100; i < 120; i++ {
+		if err := fx.tree.Insert(tx, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fx.tree.Stats.InTxnSplits.Load() == before {
+		t.Fatal("workload made no in-transaction split")
+	}
+	var fresh []storage.PageID
+	fx.e.Log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+		if r.TxnID == tx.ID && r.Type == wal.RecUpdate && r.Kind == KindFormatNode {
+			fresh = append(fresh, storage.PageID(r.PageID))
+		}
+		return true
+	})
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range fresh {
+		f, err := fx.tree.store.Pool.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := f.Data.(*Node).Dead
+		fx.tree.store.Pool.Unpin(f)
+		if !dead {
+			t.Fatalf("page %d of an aborted in-transaction split is not marked dead", pid)
+		}
+	}
+	if shape := fx.mustVerify(t); shape.Records != 40 {
+		t.Fatalf("records = %d after abort, want 40", shape.Records)
 	}
 }

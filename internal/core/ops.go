@@ -244,7 +244,7 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 				}
 				o.release(leaf)
 				t.Stats.MoveLockWaits.Add(1)
-				err := aa.Lock(name, lock.MV)
+				err := aa.LockFor(tx, name, lock.MV)
 				_ = aa.Abort()
 				if err != nil {
 					return err
@@ -257,7 +257,7 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 			if !aa.TryLock(pageName, lock.MV) {
 				o.release(leaf)
 				t.Stats.MoveLockWaits.Add(1)
-				err := aa.Lock(pageName, lock.MV)
+				err := aa.LockFor(tx, pageName, lock.MV)
 				_ = aa.Abort()
 				if err != nil {
 					return err
@@ -295,7 +295,7 @@ func (t *Tree) handleSplitError(o *opCtx, held *nref, err error) error {
 	if errors.As(err, &pl) {
 		t.Stats.MoveLockWaits.Add(1)
 		w := t.tm.BeginAtomicAction()
-		lerr := w.Lock(pl.name, lock.MV)
+		lerr := w.LockFor(o.txn, pl.name, lock.MV)
 		_ = w.Abort()
 		if lerr != nil {
 			return lerr
@@ -418,14 +418,7 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
-	fnew.Latch.AcquireX()
-	o.tr.Acquired(&fnew.Latch, o.rank(n.Level), latch.X)
-	lsnF := act.LogUpdate(t.store.Pool.StoreID, uint64(newPid), KindFormatNode, encNodeImage(sibling))
-	fnew.Data = sibling
-	fnew.MarkDirty(lsnF)
-	o.tr.Released(&fnew.Latch)
-	fnew.Latch.ReleaseX()
-	t.store.Pool.Unpin(fnew)
+	t.formatNew(o, act, fnew, sibling)
 
 	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.pid()), KindSplitTruncate, encSplitTruncate(sep, newPid, pre))
 	n.Entries = n.Entries[:mid]
@@ -441,6 +434,28 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		t.Stats.IndexSplits.Add(1)
 	}
 	return sep, newPid, nil
+}
+
+// formatNew installs node on the freshly created, pinned frame f, logged
+// through act, and unpins it. A split inside a user transaction under the
+// CP invariant is the one split an abort undoes — restoring the split
+// node and freeing this page — so it also logs KindMarkAlive, whose
+// compensation marks the page dead before the abort frees it and drops
+// the move lock: a traversal that reached the page through a pointer read
+// before the undo then retries instead of updating an orphan. (Under CNS
+// the split runs in a nested top-level action and is never undone.)
+func (t *Tree) formatNew(o *opCtx, act *txn.Txn, f *storage.Frame, node *Node) {
+	f.Latch.AcquireX()
+	o.tr.Acquired(&f.Latch, o.rank(node.Level), latch.X)
+	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(f.ID), KindFormatNode, encNodeImage(node))
+	f.Data = node
+	f.MarkDirty(lsn)
+	if !act.System && t.opts.Consolidation {
+		f.MarkDirty(act.LogUpdate(t.store.Pool.StoreID, uint64(f.ID), KindMarkAlive, nil))
+	}
+	o.tr.Released(&f.Latch)
+	f.Latch.ReleaseX()
+	t.store.Pool.Unpin(f)
 }
 
 // growRoot splits the root in place: the lower half moves to a new node
@@ -491,14 +506,7 @@ func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key
 		if err != nil {
 			return nil, storage.NilPage, err
 		}
-		f.Latch.AcquireX()
-		o.tr.Acquired(&f.Latch, o.rank(pre.Level), latch.X)
-		lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(nn.pid), KindFormatNode, encNodeImage(nn.node))
-		f.Data = nn.node
-		f.MarkDirty(lsn)
-		o.tr.Released(&f.Latch)
-		f.Latch.ReleaseX()
-		t.store.Pool.Unpin(f)
+		t.formatNew(o, act, f, nn.node)
 	}
 
 	termA := Entry{Key: keys.Clone(pre.Low), Child: pidA}

@@ -72,6 +72,18 @@ func (t *Tree) postIndexTerm(task postTask) {
 			}
 			termKey = keys.Clone(child.n.High.Key)
 			termChild = child.n.Right
+			// Test the move lock while the child is still latched: a
+			// transaction whose split made termChild holds it move-locked
+			// until it ends, and its abort must latch the child to undo the
+			// split. Seen unlocked here, the split is committed for good;
+			// tested after the release, an abort could slip in between and
+			// this action would post a term to the freed page.
+			if t.binding.PageOriented() && t.lm.MoveLocked(t.pageLockName(termChild)) {
+				t.Stats.PostsSuppressedMV.Add(1)
+				o.release(&child)
+				o.release(&node)
+				return nil
+			}
 			o.release(&child)
 			if _, posted := node.n.search(termKey); posted {
 				t.Stats.PostsAlreadyDone.Add(1)

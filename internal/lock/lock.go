@@ -24,14 +24,23 @@
 // only the stripes the transaction actually used.
 //
 // The waits-for graph lives in a separate detector component guarded by
-// its own mutex, consulted only when a requester must actually block —
-// the uncontended paths never touch it. The internal lock order is
+// its own mutex, consulted only when a lock has waiters — the
+// uncontended paths never touch it. The internal lock order is
 // stripe.mu → detector.mu, and the detector never calls back into a
 // stripe, so the manager's own mutexes cannot deadlock. Registering the
 // new waiter's edges and running the cycle check atomically under
 // detector.mu guarantees that when two transactions concurrently form a
 // cycle across different stripes, the second one to register observes the
 // first one's edges and aborts.
+//
+// A waiter's edges follow the lock it waits on. Whenever a release, grant
+// or head-of-queue upgrade changes that lock's holders or queue, every
+// remaining waiter's edges are recomputed under stripe.mu then
+// detector.mu, and a granted waiter's edges are dropped as it is granted.
+// A refresh that closes a cycle wakes its waiter with ErrDeadlock. Stale
+// edges would otherwise both invent cycles (through transactions that no
+// longer block anyone) and hide real ones (an upgrade queued ahead of an
+// existing waiter adds an edge that waiter never registered).
 package lock
 
 import (
@@ -104,11 +113,16 @@ type holder struct {
 }
 
 type waiter struct {
-	txn     wal.TxnID
+	txn wal.TxnID
+	// parent, when set, is a transaction whose thread of control is
+	// blocked in this request (an atomic action waiting on its caller's
+	// behalf): the detector holds the edge parent → txn while it waits.
+	parent  wal.TxnID
 	mode    Mode
 	upgrade bool
 	dep     uint64        // lock's depLSN at grant time, published via ready
-	ready   chan struct{} // buffered; receives when granted
+	err     error         // ErrDeadlock if a refresh evicted it, published via ready
+	ready   chan struct{} // buffered; receives when granted or evicted
 }
 
 type lockState struct {
@@ -206,6 +220,10 @@ type stripe struct {
 	// park order; sweepPending prunes a bounded few per stripe visit once
 	// the stable prefix passes their depLSN.
 	pending []Name
+
+	// det is the manager's waits-for graph; the stripe refreshes its
+	// waiters' edges there whenever one of its locks changes.
+	det *detector
 
 	waits     int64
 	deadlocks int64
@@ -322,8 +340,22 @@ func (s *stripe) addOwned(txn wal.TxnID, name Name) {
 
 // grantQueued grants queued waiters in FIFO order while they remain
 // compatible with the holders, stopping at the first that is not (no
-// overtaking, so writers are not starved). Caller holds s.mu.
+// overtaking, so writers are not starved), then refreshes the waits-for
+// edges of the waiters left queued. Evicting a deadlock victim can make
+// the waiters behind it grantable, so the two steps repeat until a
+// refresh evicts nobody. Caller holds s.mu.
 func (s *stripe) grantQueued(name Name, ls *lockState) {
+	for {
+		s.grantHead(name, ls)
+		if !s.refreshWaiters(ls) {
+			return
+		}
+	}
+}
+
+// grantHead grants the compatible prefix of the queue, dropping each
+// granted waiter's waits-for edges before waking it. Caller holds s.mu.
+func (s *stripe) grantHead(name Name, ls *lockState) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
 		compatible := true
@@ -353,9 +385,43 @@ func (s *stripe) grantQueued(name Name, ls *lockState) {
 			s.addOwned(w.txn, name)
 		}
 		s.grants++
+		s.det.clear(w)
 		w.dep = ls.depLSN
 		w.ready <- struct{}{}
 	}
+}
+
+// refreshWaiters recomputes the waits-for edges of every waiter queued on
+// ls from the lock's current holders and queue. A waiter whose fresh
+// edges close a cycle is the deadlock victim: it leaves the queue and
+// wakes with ErrDeadlock. Reports whether any waiter was evicted. Caller
+// holds s.mu.
+func (s *stripe) refreshWaiters(ls *lockState) bool {
+	if len(ls.queue) == 0 {
+		return false
+	}
+	d := s.det
+	evicted := false
+	d.mu.Lock()
+	for i := 0; i < len(ls.queue); {
+		w := ls.queue[i]
+		blockers := ls.blockersOf(w)
+		if !d.closesCycle(w.txn, blockers) {
+			d.waitingOn[w.txn] = blockers
+			i++
+			continue
+		}
+		// Only waiters behind w listed it as a blocker, and they are
+		// recomputed after its removal.
+		ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+		d.forget(w)
+		s.deadlocks++
+		evicted = true
+		w.err = ErrDeadlock
+		w.ready <- struct{}{}
+	}
+	d.mu.Unlock()
+	return evicted
 }
 
 // releaseLocked drops txn's hold on name (if any) and wakes newly
@@ -384,8 +450,9 @@ func (s *stripe) releaseLocked(txn wal.TxnID, name Name, depLSN, stable uint64) 
 }
 
 // detector owns the waits-for graph. It is consulted only when a request
-// must block; grants and releases never touch it. Lock order:
-// stripe.mu → detector.mu (the detector never calls into a stripe).
+// must block or a lock with waiters changes; uncontended grants and
+// releases never touch it. Lock order: stripe.mu → detector.mu (the
+// detector never calls into a stripe).
 type detector struct {
 	mu sync.Mutex
 	// waitingOn maps a blocked transaction to the transactions it waits
@@ -398,9 +465,24 @@ type detector struct {
 // registration and check are one critical section so that of two
 // transactions concurrently completing a cycle, the second observes the
 // first's edges and aborts.
-func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{}) error {
+func (d *detector) blockOrDetect(w *waiter, blockers map[wal.TxnID]struct{}) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if w.parent != wal.NilTxn {
+		d.waitingOn[w.parent] = map[wal.TxnID]struct{}{w.txn: {}}
+	}
+	if d.closesCycle(w.txn, blockers) {
+		d.forget(w)
+		return ErrDeadlock
+	}
+	d.waitingOn[w.txn] = blockers
+	return nil
+}
+
+// closesCycle reports whether txn waiting on blockers would complete a
+// waits-for cycle: whether some blocker already (transitively) waits for
+// txn. txn's own current edges are never followed. Caller holds d.mu.
+func (d *detector) closesCycle(txn wal.TxnID, blockers map[wal.TxnID]struct{}) bool {
 	seen := make(map[wal.TxnID]struct{})
 	var visit func(t wal.TxnID) bool
 	visit = func(t wal.TxnID) bool {
@@ -420,18 +502,25 @@ func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{})
 	}
 	for b := range blockers {
 		if visit(b) {
-			return ErrDeadlock
+			return true
 		}
 	}
-	d.waitingOn[txn] = blockers
-	return nil
+	return false
 }
 
-// clear removes txn's waits-for edges after its wait ends.
-func (d *detector) clear(txn wal.TxnID) {
+// clear removes w's waits-for edges when its wait ends.
+func (d *detector) clear(w *waiter) {
 	d.mu.Lock()
-	delete(d.waitingOn, txn)
+	d.forget(w)
 	d.mu.Unlock()
+}
+
+// forget drops w's edges, and its parent's edge to it. Caller holds d.mu.
+func (d *detector) forget(w *waiter) {
+	delete(d.waitingOn, w.txn)
+	if w.parent != wal.NilTxn {
+		delete(d.waitingOn, w.parent)
+	}
 }
 
 // ownerShards is the size of the small hash table mapping a transaction
@@ -489,6 +578,7 @@ func NewManager() *Manager {
 		stripeMask: uint64(n - 1),
 	}
 	for i := range m.stripes {
+		m.stripes[i].det = &m.det
 		m.stripes[i].locks = make(map[Name]*lockState)
 		m.stripes[i].byTxn = make(map[wal.TxnID][]Name)
 	}
@@ -535,6 +625,16 @@ func (m *Manager) Lock(txn wal.TxnID, name Name, mode Mode) error {
 // own commit before the dependency is stable. Dependencies the stable
 // prefix already covers are filtered to zero.
 func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
+	return m.LockDepFor(txn, wal.NilTxn, name, mode)
+}
+
+// LockDepFor is LockDep for a request that blocks parent's thread of
+// control too: an atomic action that waits while its caller still holds
+// the locks of transaction parent. While it waits, the detector treats
+// parent as waiting for txn, so a cycle running through parent's locks is
+// reported as ErrDeadlock instead of hanging both threads. parent may be
+// wal.NilTxn.
+func (m *Manager) LockDepFor(txn, parent wal.TxnID, name Name, mode Mode) (uint64, error) {
 	idx := m.stripeIndex(name)
 	s := &m.stripes[idx]
 	s.mu.Lock()
@@ -548,7 +648,8 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 	}
 
 	// Fast path: grantable immediately — no waiter, no channel, no
-	// detector involvement.
+	// detector involvement unless an in-place upgrade strengthens a hold
+	// that queued waiters must now also wait for.
 	if ls.grantableNow(txn, mode, held) {
 		if held {
 			for i := range ls.holders {
@@ -557,6 +658,7 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 					break
 				}
 			}
+			s.grantQueued(name, ls)
 		} else {
 			ls.holders = append(ls.holders, holder{txn: txn, mode: mode})
 			s.addOwned(txn, name)
@@ -574,7 +676,7 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 	// blocking. Upgrades go to the head of the queue: the holder already
 	// excludes conflicting newcomers, and queue-jumping bounds the
 	// promotion wait.
-	w := &waiter{txn: txn, mode: mode, upgrade: held, ready: make(chan struct{}, 1)}
+	w := &waiter{txn: txn, parent: parent, mode: mode, upgrade: held, ready: make(chan struct{}, 1)}
 	if held {
 		ls.queue = append(ls.queue, nil)
 		copy(ls.queue[1:], ls.queue)
@@ -584,7 +686,9 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 	}
 
 	blockers := ls.blockersOf(w)
-	if err := m.det.blockOrDetect(txn, blockers); err != nil {
+	if err := m.det.blockOrDetect(w, blockers); err != nil {
+		// Nobody's edges were refreshed against w yet, so removing it
+		// restores the queue every other waiter registered against.
 		ls.removeWaiter(w)
 		s.deadlocks++
 		s.maybeFree(name, ls, m.stable.Load())
@@ -592,10 +696,18 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 		return 0, err
 	}
 	s.waits++
+	if held {
+		// The upgrade jumped ahead of every queued waiter, which now
+		// also waits for it.
+		s.grantQueued(name, ls)
+	}
 	s.mu.Unlock()
 
+	// The granter or the evicting refresh has already dropped our edges.
 	<-w.ready
-	m.det.clear(txn)
+	if w.err != nil {
+		return 0, w.err
+	}
 	if !held {
 		m.noteStripe(txn, idx)
 	}

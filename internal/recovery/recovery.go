@@ -202,6 +202,9 @@ func (o Opts) withDefaults() Opts {
 type Stats struct {
 	// AnalyzedRecords is the number of records scanned in analysis.
 	AnalyzedRecords int
+	// ImageBytes is the size of the log image restart read: the retained
+	// window from the recycle horizon to the end of the stable log.
+	ImageBytes int
 	// RedoneRecords is the number of update/CLR records whose effects
 	// were (conditionally) reapplied.
 	RedoneRecords int
@@ -275,8 +278,8 @@ func (s Stats) Summary() string {
 		redo += fmt.Sprintf(", %d pages fetch-skipped", s.FetchSkippedPages)
 	}
 	redo += ")"
-	return fmt.Sprintf("analysis %v (%d rec, %.2fM rec/s) | %s | undo %v (%d losers, %d actions, %d winners)",
-		s.AnalysisTime.Round(time.Microsecond), s.AnalyzedRecords, s.AnalysisRate()/1e6,
+	return fmt.Sprintf("image %d B | analysis %v (%d rec, %.2fM rec/s) | %s | undo %v (%d losers, %d actions, %d winners)",
+		s.ImageBytes, s.AnalysisTime.Round(time.Microsecond), s.AnalyzedRecords, s.AnalysisRate()/1e6,
 		redo,
 		s.UndoTime.Round(time.Microsecond), s.LoserTxns, s.LoserActions, s.WinnerTxns)
 }
@@ -342,6 +345,7 @@ func AnalyzeAndRedoOpts(log *wal.Log, reg *storage.Registry, o Opts) (*Pending, 
 	st := &p.Stats
 	st.Workers = o.Workers
 	img := log.FullImage()
+	st.ImageBytes = img.Size()
 
 	// --- Analysis (fused with redo planning unless Serial) ------------
 	began := time.Now()

@@ -399,6 +399,23 @@ func (t *Txn) Lock(name lock.Name, mode lock.Mode) error {
 	return err
 }
 
+// LockFor acquires a database lock for atomic action t while the caller
+// still holds the locks of transaction parent (nil for none). Waiting
+// blocks parent's thread as well, so the lock manager is told: a
+// waits-for cycle through parent's locks then surfaces as
+// lock.ErrDeadlock instead of a silent hang.
+func (t *Txn) LockFor(parent *Txn, name lock.Name, mode lock.Mode) error {
+	pid := wal.NilTxn
+	if parent != nil {
+		pid = parent.ID
+	}
+	dep, err := t.mgr.Locks.LockDepFor(t.ID, pid, name, mode)
+	if dep > t.depLSN {
+		t.depLSN = dep
+	}
+	return err
+}
+
 // TryLock acquires a database lock only if no waiting is needed.
 func (t *Txn) TryLock(name lock.Name, mode lock.Mode) bool {
 	dep, ok := t.mgr.Locks.TryLockDep(t.ID, name, mode)

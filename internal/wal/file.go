@@ -91,6 +91,12 @@ const (
 	segSuffix    = ".seg"
 	freePrefix   = "wal-free-"
 	minSegmentSz = 4 * 1024
+
+	// maxFreeSegments caps the recycled-segment pool. Retired segments
+	// beyond it are unlinked: a recycled file is truncated to its header
+	// on reuse, so pooling more of them saves only a create, and every
+	// pooled file is disk the log no longer needs.
+	maxFreeSegments = 4
 )
 
 // FileWALStats counts the durable layer's physical work.
@@ -102,7 +108,9 @@ type FileWALStats struct {
 	SegmentsCreated  int64 // brand-new segment files
 	SegmentsRecycled int64 // segments reused from the free pool
 	SegmentsRetired  int64 // segments dropped below the recycle horizon
+	SegmentsUnlinked int64 // retired segments deleted because the free pool was full
 	ReplayRecords    int64 // records accepted by the last replay
+	ReplayBytes      int64 // log bytes the last replay read: [horizon, end of chain)
 	ReplayTruncated  int64 // bytes discarded at the corrupt/torn tail
 }
 
@@ -125,8 +133,8 @@ type FileWAL struct {
 	pos     uint64 // next byte offset to persist (LSN space)
 	cur     *os.File
 	curBase uint64
-	live    []segMeta // durable segments in base order, excluding cur? no: including cur
-	free    []string  // recycled segment files awaiting reuse
+	live    []segMeta // durable segments in base order, including cur's
+	free    []string  // recycled segment files awaiting reuse (at most maxFreeSegments)
 	freeSeq int
 	ckpt    LSN
 	horizon LSN
@@ -286,9 +294,25 @@ func (fw *FileWAL) syncDir() error {
 	return err
 }
 
-// toFree renames path into the free pool for later reuse.
-// Caller holds fw.mu.
+// unlinkIfPoolFull deletes the segment file at path, and reports true,
+// when the free pool already holds maxFreeSegments files. Caller holds
+// fw.mu.
+func (fw *FileWAL) unlinkIfPoolFull(path string) bool {
+	if len(fw.free) < maxFreeSegments {
+		return false
+	}
+	if os.Remove(path) == nil {
+		fw.stats.SegmentsUnlinked++
+	}
+	return true
+}
+
+// toFree renames path into the free pool for later reuse, or unlinks it
+// when the pool is full. Caller holds fw.mu.
 func (fw *FileWAL) toFree(path string) {
+	if fw.unlinkIfPoolFull(path) {
+		return
+	}
 	fw.freeSeq++
 	dst := filepath.Join(fw.dir, fmt.Sprintf("%s%d%s", freePrefix, fw.freeSeq, segSuffix))
 	if err := os.Rename(path, dst); err == nil {
@@ -325,10 +349,13 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		}
 		path := filepath.Join(fw.dir, name)
 		if strings.HasPrefix(name, freePrefix) {
-			fw.free = append(fw.free, path)
 			idxStr := strings.TrimSuffix(strings.TrimPrefix(name, freePrefix), segSuffix)
 			if n, err := strconv.Atoi(idxStr); err == nil && n > fw.freeSeq {
 				fw.freeSeq = n
+			}
+			// A pool beyond the cap is surplus from an older incarnation.
+			if !fw.unlinkIfPoolFull(path) {
+				fw.free = append(fw.free, path)
 			}
 			continue
 		}
@@ -416,30 +443,31 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		end = start
 	}
 
-	// Load the byte stream and walk records from the horizon.
-	buf := make([]byte, end)
+	// Load the window [start, end) — only the retained log, never the
+	// bytes below the horizon that the first segment still holds — and
+	// walk records from the horizon. buf[0] is the byte at LSN start.
+	buf := make([]byte, end-start)
 	for _, s := range chain {
-		hi := s.base + fw.segCap
-		if hi > end {
-			hi = end
-		}
-		if hi <= s.base {
+		lo := max(s.base, start)
+		hi := min(s.base+fw.segCap, end)
+		if hi <= lo {
 			continue
 		}
 		f, err := os.Open(s.path)
 		if err != nil {
 			return nil, err
 		}
-		_, err = f.ReadAt(buf[s.base:hi], segHdrLen)
+		_, err = f.ReadAt(buf[lo-start:hi-start], int64(segHdrLen+lo-s.base))
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
 	}
+	fw.stats.ReplayBytes = int64(len(buf))
 	pos := start
 	var rec Record
 	for pos < end {
-		n, err := decodeSharedInto(buf[pos:], &rec)
+		n, err := decodeSharedInto(buf[pos-start:], &rec)
 		if err != nil || rec.LSN != LSN(pos) {
 			break
 		}
@@ -501,7 +529,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		}
 		rdCkpt = NilLSN
 	}
-	return &Reader{buf: buf[:end], ckptLSN: rdCkpt, start: LSN(start)}, nil
+	return &Reader{buf: buf[:end-start], ckptLSN: rdCkpt, start: LSN(start)}, nil
 }
 
 // roll finalizes the active segment and opens the next one, reusing a

@@ -296,6 +296,11 @@ type Log struct {
 
 	segs   atomic.Pointer[[][]byte] // grow-only directory of segSize segments
 	growMu sync.Mutex               // serializes segment allocation only
+	// segBase is the absolute index of segs[0]: the segment holding start.
+	// A log continued from a recycled image holds no directory entries,
+	// not even nil ones, below its first readable segment. Set at
+	// construction, never changed.
+	segBase uint64
 
 	inflight [inflightSlots]inflightSlot
 	slotHint atomic.Uint32 // rotates claim start points across appenders
@@ -418,10 +423,14 @@ func (l *Log) SetSink(s StableSink) { l.sink = s }
 func (l *Log) Damaged() bool { return l.damaged.Load() }
 
 // New returns an empty log with the flush pipeline enabled.
-func New() *Log {
-	l := &Log{stableLSN: 1, writtenLSN: 1, start: 1}
+func New() *Log { return newLog(1) }
+
+// newLog returns an empty log whose first readable (and first appended)
+// position is start.
+func newLog(start LSN) *Log {
+	l := &Log{stableLSN: start, writtenLSN: start, start: start, segBase: uint64(start) >> segShift}
 	l.gcCond = sync.NewCond(&l.gcMu)
-	l.tail.Store(1)
+	l.tail.Store(uint64(start))
 	l.pipelined.Store(true)
 	segs := [][]byte{make([]byte, segSize)}
 	l.segs.Store(&segs)
@@ -441,26 +450,27 @@ func (l *Log) SetPipelined(on bool) { l.pipelined.Store(on) }
 
 // NewFromImage continues a log from a crash image: the image's contents
 // become the stable prefix and appends resume after it, preserving LSN
-// continuity across restart exactly as a real single log would.
+// continuity across restart exactly as a real single log would. Only the
+// image's window is buffered: segments are allocated from the one holding
+// its start, so a restart costs the retained log, not the absolute LSN.
 func NewFromImage(r *Reader) *Log {
-	l := New()
-	start := uint64(r.effStart())
-	if end := uint64(len(r.buf)); end > start {
+	l := newLog(r.StartLSN())
+	if len(r.buf) > 0 {
+		end := uint64(r.EndLSN())
 		segs := l.ensure(end)
-		copyIn(segs, start, r.buf[start:])
+		l.copyIn(segs, uint64(r.start), r.buf)
 		l.tail.Store(end)
 		l.stableLSN = LSN(end)
 		l.writtenLSN = LSN(end)
 	}
-	l.start = r.effStart()
 	l.ckptLSN = r.ckptLSN
 	return l
 }
 
-// ensure returns a segment directory covering bytes [0:end), allocating
-// segments as needed.
+// ensure returns a segment directory covering bytes [start:end),
+// allocating segments as needed.
 func (l *Log) ensure(end uint64) [][]byte {
-	need := int((end + segSize - 1) >> segShift)
+	need := int((end+segSize-1)>>segShift - l.segBase)
 	segs := *l.segs.Load()
 	if len(segs) >= need {
 		return segs
@@ -495,11 +505,17 @@ func (l *Log) ensure(end uint64) [][]byte {
 	return segs
 }
 
+// at returns the buffered bytes from absolute offset off to the end of
+// off's segment; off must lie at or beyond the log's start.
+func (l *Log) at(segs [][]byte, off uint64) []byte {
+	return segs[off>>segShift-l.segBase][off&segMask:]
+}
+
 // copyIn copies b into the segmented buffer at off; the range must lie
 // within already-allocated segments.
-func copyIn(segs [][]byte, off uint64, b []byte) {
+func (l *Log) copyIn(segs [][]byte, off uint64, b []byte) {
 	for len(b) > 0 {
-		n := copy(segs[off>>segShift][off&segMask:], b)
+		n := copy(l.at(segs, off), b)
 		b = b[n:]
 		off += uint64(n)
 	}
@@ -507,9 +523,9 @@ func copyIn(segs [][]byte, off uint64, b []byte) {
 
 // copyOut copies len(dst) bytes starting at off out of the segmented
 // buffer.
-func copyOut(segs [][]byte, dst []byte, off uint64) {
+func (l *Log) copyOut(segs [][]byte, dst []byte, off uint64) {
 	for len(dst) > 0 {
-		n := copy(dst, segs[off>>segShift][off&segMask:])
+		n := copy(dst, l.at(segs, off))
 		dst = dst[n:]
 		off += uint64(n)
 	}
@@ -617,12 +633,11 @@ func (l *Log) Append(r *Record) LSN {
 	segs := l.ensure(end)
 	if start>>segShift == (end-1)>>segShift {
 		// Common case: the record fits one segment; encode in place.
-		so := start & segMask
-		encodeInto(segs[start>>segShift][so:so+total], r)
+		encodeInto(l.at(segs, start)[:total], r)
 	} else {
 		b := make([]byte, total)
 		encodeInto(b, r)
-		copyIn(segs, start, b)
+		l.copyIn(segs, start, b)
 	}
 	l.appends.Add(1)
 	// Publish: after this store the bytes are covered by publishedPrefix.
@@ -661,12 +676,11 @@ func (l *Log) AppendGroup(recs []*Record) LSN {
 		}
 		sz := uint64(headerSize + len(r.Payload))
 		if off>>segShift == (off+sz-1)>>segShift {
-			so := off & segMask
-			encodeInto(segs[off>>segShift][so:so+sz], r)
+			encodeInto(l.at(segs, off)[:sz], r)
 		} else {
 			b := make([]byte, sz)
 			encodeInto(b, r)
-			copyIn(segs, off, b)
+			l.copyIn(segs, off, b)
 		}
 		off += sz
 	}
@@ -759,14 +773,12 @@ func (l *Log) persistRange(from, to uint64) error {
 	if v, ok := l.sink.(sinkVectored); ok {
 		bufs := l.iovecs[:0]
 		for off := from; off < to; {
-			seg := segs[off>>segShift]
-			lo := off & segMask
-			n := uint64(segSize) - lo
-			if off+n > to {
-				n = to - off
+			b := l.at(segs, off)
+			if n := to - off; uint64(len(b)) > n {
+				b = b[:n]
 			}
-			bufs = append(bufs, seg[lo:lo+n])
-			off += n
+			bufs = append(bufs, b)
+			off += uint64(len(b))
 		}
 		l.iovecs = bufs
 		err := v.PersistV(LSN(from), bufs)
@@ -780,7 +792,7 @@ func (l *Log) persistRange(from, to uint64) error {
 		l.scratch = make([]byte, n)
 	}
 	buf := l.scratch[:n]
-	copyOut(segs, buf, from)
+	l.copyOut(segs, buf, from)
 	return l.sink.Persist(LSN(from), buf)
 }
 
@@ -896,7 +908,7 @@ func (l *Log) tearBoundary(from, target uint64, frac float64) uint64 {
 			break
 		}
 		var lenb [4]byte
-		copyOut(segs, lenb[:], pos)
+		l.copyOut(segs, lenb[:], pos)
 		total := uint64(binary.LittleEndian.Uint32(lenb[:]))
 		if total < headerSize || pos+total > target {
 			break
@@ -1131,7 +1143,7 @@ func (l *Log) tornSink(b, pub uint64, frac float64) {
 	}
 	segs := *l.segs.Load()
 	var lenb [4]byte
-	copyOut(segs, lenb[:], b)
+	l.copyOut(segs, lenb[:], b)
 	total := uint64(binary.LittleEndian.Uint32(lenb[:]))
 	if total < headerSize || b+total > pub {
 		return
@@ -1146,7 +1158,7 @@ func (l *Log) tornSink(b, pub uint64, frac float64) {
 		return
 	}
 	part := make([]byte, pl)
-	copyOut(segs, part, b)
+	l.copyOut(segs, part, b)
 	_ = sp.PersistPartial(LSN(b), part)
 }
 
@@ -1211,7 +1223,7 @@ func (l *Log) Stats() (appends, flushes int64) {
 // caller must have learned lsn from a completed Append.
 func (l *Log) Read(lsn LSN) (Record, error) {
 	end := l.tail.Load()
-	if lsn == NilLSN || uint64(lsn) >= end {
+	if lsn < l.start || uint64(lsn) >= end {
 		return Record{}, fmt.Errorf("wal: read at invalid LSN %d", lsn)
 	}
 	b, err := l.copyRecord(uint64(lsn), end)
@@ -1236,24 +1248,27 @@ func (l *Log) copyRecord(off, end uint64) ([]byte, error) {
 		return nil, ErrBadRecord
 	}
 	var lenb [4]byte
-	copyOut(segs, lenb[:], off)
+	l.copyOut(segs, lenb[:], off)
 	total := uint64(binary.LittleEndian.Uint32(lenb[:]))
 	if total < headerSize || off+total > end {
 		return nil, ErrBadRecord
 	}
 	b := make([]byte, total)
-	copyOut(segs, b, off)
+	l.copyOut(segs, b, off)
 	return b, nil
 }
 
-// contiguous returns a fresh contiguous copy of bytes [0:end).
-func (l *Log) contiguous(end uint64) []byte {
-	img := make([]byte, end)
-	segs := *l.segs.Load()
-	if end > 1 {
-		copyOut(segs, img[1:], 1)
+// image returns a Reader over a fresh contiguous copy of the window
+// [start:end) — never the bytes below start, so an image costs the
+// retained log, not the absolute LSN. An end below start yields an empty
+// window at start. Caller holds l.mu.
+func (l *Log) image(end, ckpt LSN) *Reader {
+	if end < l.start {
+		end = l.start
 	}
-	return img
+	buf := make([]byte, end-l.start)
+	l.copyOut(*l.segs.Load(), buf, uint64(l.start))
+	return &Reader{buf: buf, ckptLSN: ckpt, start: l.start}
 }
 
 // CrashImage returns the stable prefix of the log as a Reader, simulating
@@ -1271,7 +1286,7 @@ func (l *Log) CrashImage(truncateAt *LSN) *Reader {
 	if ckpt >= end {
 		ckpt = NilLSN
 	}
-	return &Reader{buf: l.contiguous(uint64(end)), ckptLSN: ckpt, start: l.start}
+	return l.image(end, ckpt)
 }
 
 // FullImage returns a Reader over the fully-published buffered log, for
@@ -1280,16 +1295,17 @@ func (l *Log) FullImage() *Reader {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	end := l.publishedPrefix(l.tail.Load())
-	return &Reader{buf: l.contiguous(end), ckptLSN: l.ckptLSN, start: l.start}
+	return l.image(LSN(end), l.ckptLSN)
 }
 
-// Reader iterates a (possibly truncated) log image during restart. buf is
-// indexed by absolute LSN; bytes below start are unreadable (zero after
-// segment recycling dropped them).
+// Reader iterates a (possibly truncated) log image during restart. The
+// image is window-relative: buf holds the log bytes [start, EndLSN()), so
+// its size is the retained log, not the absolute LSN. Every method takes
+// and returns absolute LSNs; positions below start are unreadable.
 type Reader struct {
 	buf     []byte
 	ckptLSN LSN
-	start   LSN // first readable record position; 0 means 1
+	start   LSN // first readable record position and LSN of buf[0]; >= 1
 }
 
 // CheckpointLSN returns the image's checkpoint anchor, or NilLSN if no
@@ -1298,14 +1314,18 @@ func (r *Reader) CheckpointLSN() LSN { return r.ckptLSN }
 
 // StartLSN returns the first readable record position of the image. It is
 // 1 for a never-recycled log and the recycle horizon afterwards.
-func (r *Reader) StartLSN() LSN { return r.effStart() }
+func (r *Reader) StartLSN() LSN { return r.start }
 
-func (r *Reader) effStart() LSN {
-	if r.start <= 1 {
-		return 1
-	}
-	return r.start
-}
+// EndLSN returns one past the last byte of the image.
+func (r *Reader) EndLSN() LSN { return r.start + LSN(len(r.buf)) }
+
+// Size returns the number of log bytes the image holds: the window
+// [StartLSN, EndLSN).
+func (r *Reader) Size() int { return len(r.buf) }
+
+// from returns the image bytes starting at absolute position lsn, which
+// must lie in [start, EndLSN()).
+func (r *Reader) from(lsn LSN) []byte { return r.buf[lsn-r.start:] }
 
 // Scan calls fn for each record from lsn (NilLSN means the start of the
 // readable image) to the end of the image, stopping early if fn returns
@@ -1313,19 +1333,16 @@ func (r *Reader) effStart() LSN {
 // not match its position — terminates the scan silently, as restart
 // would.
 func (r *Reader) Scan(lsn LSN, fn func(Record) bool) {
-	pos := int(lsn)
-	if pos < int(r.effStart()) {
-		pos = int(r.effStart())
-	}
-	for pos < len(r.buf) {
-		rec, n, err := decode(r.buf[pos:])
-		if err != nil || rec.LSN != LSN(pos) {
+	pos := max(lsn, r.start)
+	for end := r.EndLSN(); pos < end; {
+		rec, n, err := decode(r.from(pos))
+		if err != nil || rec.LSN != pos {
 			return
 		}
 		if !fn(rec) {
 			return
 		}
-		pos += n
+		pos += LSN(n)
 	}
 }
 
@@ -1335,20 +1352,17 @@ func (r *Reader) Scan(lsn LSN, fn func(Record) bool) {
 // read-only and must not retain the record past the callback without
 // copying it. Restart's fused analysis+planning scan runs through this.
 func (r *Reader) ScanShared(lsn LSN, fn func(*Record) bool) {
-	pos := int(lsn)
-	if pos < int(r.effStart()) {
-		pos = int(r.effStart())
-	}
+	pos := max(lsn, r.start)
 	var rec Record
-	for pos < len(r.buf) {
-		n, err := decodeSharedInto(r.buf[pos:], &rec)
-		if err != nil || rec.LSN != LSN(pos) {
+	for end := r.EndLSN(); pos < end; {
+		n, err := decodeSharedInto(r.from(pos), &rec)
+		if err != nil || rec.LSN != pos {
 			return
 		}
 		if !fn(&rec) {
 			return
 		}
-		pos += n
+		pos += LSN(n)
 	}
 }
 
@@ -1368,10 +1382,10 @@ func (r *Reader) RecordAt(lsn LSN) (Record, error) {
 // redo worker can materialize a page's whole batch without a struct copy
 // per record.
 func (r *Reader) RecordAtInto(lsn LSN, rec *Record) error {
-	if lsn < r.effStart() || int(lsn) >= len(r.buf) {
+	if lsn < r.start || lsn >= r.EndLSN() {
 		return fmt.Errorf("wal: image read at invalid LSN %d", lsn)
 	}
-	if _, err := decodeSharedInto(r.buf[lsn:], rec); err != nil {
+	if _, err := decodeSharedInto(r.from(lsn), rec); err != nil {
 		return err
 	}
 	if rec.LSN != lsn {
@@ -1382,10 +1396,10 @@ func (r *Reader) RecordAtInto(lsn LSN, rec *Record) error {
 
 // Read returns the record at lsn within the image.
 func (r *Reader) Read(lsn LSN) (Record, error) {
-	if lsn < r.effStart() || int(lsn) >= len(r.buf) {
+	if lsn < r.start || lsn >= r.EndLSN() {
 		return Record{}, fmt.Errorf("wal: image read at invalid LSN %d", lsn)
 	}
-	rec, _, err := decode(r.buf[lsn:])
+	rec, _, err := decode(r.from(lsn))
 	if err != nil {
 		return Record{}, err
 	}
@@ -1395,23 +1409,20 @@ func (r *Reader) Read(lsn LSN) (Record, error) {
 	return rec, nil
 }
 
-// EndLSN returns one past the last byte of the image.
-func (r *Reader) EndLSN() LSN { return LSN(len(r.buf)) }
-
 // Boundaries returns the LSN of every record boundary in the image,
-// including the final end-of-log position. The crash matrix uses these as
-// truncation points.
+// starting at StartLSN and including the final end-of-log position. The
+// crash matrix uses these as truncation points.
 func (r *Reader) Boundaries() []LSN {
 	var out []LSN
-	pos := int(r.effStart())
-	for pos < len(r.buf) {
-		out = append(out, LSN(pos))
-		rec, n, err := decode(r.buf[pos:])
-		if err != nil || rec.LSN != LSN(pos) {
+	pos := r.start
+	for end := r.EndLSN(); pos < end; {
+		out = append(out, pos)
+		rec, n, err := decode(r.from(pos))
+		if err != nil || rec.LSN != pos {
 			break
 		}
-		pos += n
+		pos += LSN(n)
 	}
-	out = append(out, LSN(pos))
+	out = append(out, pos)
 	return out
 }
