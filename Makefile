@@ -4,18 +4,19 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test race lockstress benchbuild expbuild bench torture realcrash churn
+.PHONY: check vet build test race lockstress benchbuild expbuild benchsmoke bench torture realcrash churn
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
 ## early-lock-release tests in internal/wal and internal/txn), a
 ## compile+link of every benchmark binary (run with zero iterations) so
 ## bench-only code can't rot between bench runs, a compile+link of the
-## experiment runner (T20 and friends live outside _test files), a short
-## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
-## gate over real files, the sustained-churn steady-state gate, and the
-## lock-manager stress gate.
-check: vet build test race lockstress benchbuild expbuild torture realcrash churn
+## experiment runner (T20 and friends live outside _test files), the
+## repository benchmark's smoke test, a short seeded fault-injection
+## torture run, the real-crash (SIGKILL) recovery gate over real files,
+## the sustained-churn steady-state gate, and the lock-manager stress
+## gate.
+check: vet build test race lockstress benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +45,13 @@ benchbuild:
 ## a broken one until the next full bench run.
 expbuild:
 	$(GO) build -o /dev/null ./cmd/pitree-bench
+
+## benchsmoke: run every benchmark workload briefly at a tiny size with
+## its correctness checks. perfbench/ is its own module, so `test` above
+## never reaches it: without this gate an engine change that breaks a
+## workload's checks would still pass `make check`.
+benchsmoke:
+	cd perfbench && $(GO) test ./...
 
 ## torture: seeded crash-point fault-injection rounds across all three
 ## access methods. Failures print the reproducing seed and failpoint.

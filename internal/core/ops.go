@@ -566,19 +566,22 @@ func (t *Tree) maybeScheduleConsolidation(r *nref) {
 // fn returns false. hi may be nil for an unbounded scan. The scan is
 // latch-consistent per leaf; with a non-nil transaction each returned
 // record is S-locked first (held to transaction end). Keys and values
-// passed to fn are copies.
+// passed to fn are copies the caller may keep: each leaf's qualifying
+// records are copied into one arena of their own, so a leaf costs one
+// allocation rather than two per record.
 func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	type rec struct {
 		k keys.Key
 		v []byte
 	}
+	var batch []rec
 	cursor := keys.Clone(lo)
-	for {
-		var batch []rec
+	for leaves := 1; ; leaves++ {
 		var nextCursor keys.Key
 		done := false
 		err := t.retryLoop(func() error {
 			batch = batch[:0]
+			nextCursor, done = nil, false
 			o := t.newOp(tx)
 			defer o.done()
 			leaf, err := t.descendTo(o, cursor, 0, latch.S, true, nil)
@@ -587,16 +590,34 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 			}
 			// Collect this leaf's qualifying records, then move on; locks
 			// (if any) are taken after release, one record at a time, per
-			// the No-Wait rule.
-			for _, e := range leaf.n.Entries {
-				if keys.Compare(e.Key, cursor) < 0 {
-					continue
-				}
-				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
+			// the No-Wait rule. Entries are sorted, so the qualifying ones
+			// are the run [i, j).
+			ents := leaf.n.Entries
+			i := 0
+			for i < len(ents) && keys.Compare(ents[i].Key, cursor) < 0 {
+				i++
+			}
+			j, size := i, 0
+			for ; j < len(ents); j++ {
+				if hi != nil && keys.Compare(ents[j].Key, hi) >= 0 {
 					done = true
 					break
 				}
-				batch = append(batch, rec{k: keys.Clone(e.Key), v: append([]byte(nil), e.Value...)})
+				size += len(ents[j].Key) + len(ents[j].Value)
+			}
+			arena := make([]byte, 0, size)
+			if cap(batch) < j-i {
+				batch = make([]rec, 0, j-i)
+			}
+			for _, e := range ents[i:j] {
+				var r rec
+				if e.Key != nil {
+					arena, r.k = appendCapped(arena, e.Key)
+				}
+				if len(e.Value) > 0 {
+					arena, r.v = appendCapped(arena, e.Value)
+				}
+				batch = append(batch, r)
 			}
 			if !done {
 				if leaf.n.High.Unbounded {
@@ -610,8 +631,10 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 			}
 			if !done {
 				// Read-ahead: start the successor leaf's disk read now so it
-				// overlaps the callback work on this leaf's batch.
-				t.store.Pool.PrefetchAsync(leaf.n.Right)
+				// overlaps the callback work on this leaf's batch. The hint
+				// carries the leaves consumed so far, so the read-ahead
+				// deepens only as the scan proves long.
+				t.store.Pool.PrefetchAsync(leaf.n.Right, leaves)
 			}
 			o.release(&leaf)
 			return nil
@@ -634,4 +657,13 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 		}
 		cursor = nextCursor
 	}
+}
+
+// appendCapped appends b to arena (which must have room, so it never
+// moves) and returns the copy as a capacity-capped subslice: appending to
+// the copy reallocates instead of overwriting the arena's next record.
+func appendCapped(arena, b []byte) ([]byte, []byte) {
+	n := len(arena)
+	arena = append(arena, b...)
+	return arena, arena[n:len(arena):len(arena)]
 }

@@ -69,13 +69,24 @@ func (w *Writer) Bytes32(b []byte) {
 
 // Reader consumes an encoding produced by Writer.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	alias bool
 }
 
-// NewReader returns a reader over b.
+// NewReader returns a reader over b whose byte strings are fresh copies:
+// the decoded values stay valid whatever later happens to b. Log
+// payloads are decoded this way — their buffers are shared and reused.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// NewAliasReader returns a reader over b whose byte strings are
+// subslices of b instead of copies, capacity-capped at their own length
+// so that appending to one reallocates rather than overwriting the bytes
+// that follow it. Page images are decoded this way: an image is never
+// modified once written, so a decoded node can share it and a page miss
+// costs no per-key allocation. The caller must not modify b afterwards.
+func NewAliasReader(b []byte) *Reader { return &Reader{buf: b, alias: true} }
 
 // Err returns the first decoding error encountered, if any.
 func (r *Reader) Err() error { return r.err }
@@ -135,8 +146,9 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Bytes32 reads a length-prefixed byte string. The result is a fresh copy
-// and nil-ness is preserved.
+// Bytes32 reads a length-prefixed byte string, preserving nil-ness. The
+// result is a fresh copy, or a capacity-capped subslice of the input for
+// a reader made by NewAliasReader.
 func (r *Reader) Bytes32() []byte {
 	n := r.U32()
 	if r.err != nil {
@@ -148,6 +160,9 @@ func (r *Reader) Bytes32() []byte {
 	b := r.take(int(n))
 	if b == nil {
 		return nil
+	}
+	if r.alias {
+		return b[:n:n]
 	}
 	out := make([]byte, n)
 	copy(out, b)

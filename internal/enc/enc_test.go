@@ -105,3 +105,56 @@ func TestBytes32CopyIsIndependent(t *testing.T) {
 		t.Fatal("decoded slice aliases the input buffer")
 	}
 }
+
+func aliasFixture() []byte {
+	var w Writer
+	w.Bytes32([]byte("first"))
+	w.Bytes32([]byte("second"))
+	w.Bytes32(nil)
+	w.Bytes32([]byte{})
+	return w.Bytes()
+}
+
+// TestReaderCopies: NewReader's byte strings are copies — changing the
+// input afterwards must not change them.
+func TestReaderCopies(t *testing.T) {
+	buf := aliasFixture()
+	r := NewReader(buf)
+	a, b := r.Bytes32(), r.Bytes32()
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if string(a) != "first" || string(b) != "second" {
+		t.Fatalf("copying reader results changed with the input: %q %q", a, b)
+	}
+}
+
+// TestAliasReader: NewAliasReader's byte strings are capacity-capped
+// subslices of the input — no copy, nil-ness preserved, and appending to
+// one leaves the bytes after it alone.
+func TestAliasReader(t *testing.T) {
+	buf := aliasFixture()
+	orig := append([]byte(nil), buf...)
+	r := NewAliasReader(buf)
+	a, b, n, e := r.Bytes32(), r.Bytes32(), r.Bytes32(), r.Bytes32()
+	if r.Err() != nil || string(a) != "first" || string(b) != "second" {
+		t.Fatalf("alias round trip: %q %q err=%v", a, b, r.Err())
+	}
+	if n != nil || e == nil || len(e) != 0 {
+		t.Fatalf("nil-ness not preserved: nil=%v empty=%v", n, e)
+	}
+	if &a[0] != &buf[4] {
+		t.Fatal("aliasing reader copied instead of aliasing")
+	}
+	if cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("aliases not capacity-capped: cap %d/%d", cap(a), cap(b))
+	}
+	a = append(a, "XXXXXXXX"...)
+	b = append(b, "YYYYYYYY"...)
+	if !bytes.Equal(buf, orig) {
+		t.Fatal("appending to an aliased result overwrote the input")
+	}
+	if string(a) != "firstXXXXXXXX" || string(b) != "secondYYYYYYYY" {
+		t.Fatalf("append results %q %q", a, b)
+	}
+}

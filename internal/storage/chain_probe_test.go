@@ -24,14 +24,14 @@ func (chainCodec) SuccessorHint(data any) PageID {
 	return PageID(binary.LittleEndian.Uint64(b))
 }
 
-// TestPrefetchChainWalksSuccessors: one hint warms the whole chain up to
-// the window depth, and foreground fetches of the warmed pages count as
-// prefetch hits.
-func TestPrefetchChainWalksSuccessors(t *testing.T) {
+// newChainPool returns a pool of the given capacity over n flushed and
+// then dropped pages chained 1 -> 2 -> .. -> n, so every read-ahead of
+// them is a real read.
+func newChainPool(t testing.TB, n, capacity int) *Pool {
+	t.Helper()
 	log := wal.New()
-	p := NewPool(1, NewDisk(), log, chainCodec{}, 64)
+	p := NewPool(1, NewDisk(), log, chainCodec{}, capacity)
 	lg := &testLogger{log: log}
-	const n = 32
 	for i := 1; i <= n; i++ {
 		next := make([]byte, 8)
 		if i < n {
@@ -45,10 +45,17 @@ func TestPrefetchChainWalksSuccessors(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		p.Drop(PageID(i))
 	}
+	return p
+}
 
+// TestPrefetchChainWalksSuccessors: one hint from a long scan warms the
+// whole chain up to the window depth, and foreground fetches of the
+// warmed pages count as prefetch hits.
+func TestPrefetchChainWalksSuccessors(t *testing.T) {
+	p := newChainPool(t, 32, 64)
 	p.EnablePrefetch(8)
 	defer p.StopPrefetch()
-	p.PrefetchAsync(1)
+	p.PrefetchAsync(1, 8)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Stats().PrefetchIssued < 8 && time.Now().Before(deadline) {

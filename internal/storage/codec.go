@@ -12,7 +12,13 @@ import (
 type Codec interface {
 	// EncodePage serializes v. It must not retain v.
 	EncodePage(v any) ([]byte, error)
-	// DecodePage parses bytes produced by EncodePage.
+	// DecodePage parses bytes produced by EncodePage. The decoded page
+	// may alias b — every tree's codec decodes its keys and values as
+	// capacity-capped subslices of the image — so b must never be
+	// modified afterwards. That holds for every Disk here: an image is
+	// replaced whole on write, never patched. It also requires that the
+	// access method never mutates a decoded key or value in place: values
+	// are only ever replaced with fresh slices.
 	DecodePage(b []byte) (any, error)
 }
 

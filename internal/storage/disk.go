@@ -47,7 +47,8 @@ type Disk interface {
 	// images and others new.
 	Write(pid PageID, img []byte) error
 	// Read returns the stable image of pid; ok=false means the page was
-	// never flushed (not an error).
+	// never flushed (not an error). The caller must not modify img: it
+	// may be the device's own copy, and decoded pages alias it.
 	Read(pid PageID) (img []byte, ok bool, err error)
 	// Snapshot returns an independent in-memory copy of the current
 	// stable state, used to build crash images while the original keeps

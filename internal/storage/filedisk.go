@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,9 @@ type FileDisk struct {
 	mu    sync.RWMutex
 	f     *os.File
 	pages map[PageID]*fdSlotState
+	// slotBufs recycles slot-size read buffers (*[]byte), so a page read
+	// allocates only the image it returns.
+	slotBufs sync.Pool
 
 	checks atomic.Int64
 	fails  atomic.Int64
@@ -114,6 +118,8 @@ func OpenFileDisk(path string, slotSize int) (*FileDisk, error) {
 		return nil, err
 	}
 	d := &FileDisk{path: path, slotSize: slotSize, f: f, pages: make(map[PageID]*fdSlotState)}
+	// Reads start only once d.slotSize is final (below, from the header).
+	d.slotBufs.New = func() any { b := make([]byte, d.slotSize); return &b }
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -157,7 +163,12 @@ func (d *FileDisk) scan(size int64) error {
 	buf := make([]byte, pairBytes)
 	for i := int64(0); i < npages; i++ {
 		off := fdHdrLen + i*pairBytes
-		n, _ := d.f.ReadAt(buf, off)
+		n, err := d.f.ReadAt(buf, off)
+		if err != nil && !errors.Is(err, io.EOF) {
+			// Only a short read at the end of the file is legal; an I/O
+			// error must not pass for a torn or never-written page.
+			return fmt.Errorf("storage: page file %s: read slots at %d: %w", d.path, off, err)
+		}
 		pid := PageID(i + 1)
 		pair := buf[:n]
 		var st fdSlotState
@@ -335,9 +346,13 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 	if st.torn {
 		return nil, false, fmt.Errorf("storage: page %d: both slots corrupt: %w", pid, ErrTornPage)
 	}
-	slot := make([]byte, d.slotSize)
-	n, _ := d.f.ReadAt(slot, d.slotOff(pid, st.active))
-	img, _, ok := d.verifySlot(slot[:n], pid)
+	bp := d.slotBufs.Get().(*[]byte)
+	defer d.slotBufs.Put(bp)
+	n, err := d.f.ReadAt(*bp, d.slotOff(pid, st.active))
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, err)
+	}
+	img, _, ok := d.verifySlot((*bp)[:n], pid)
 	if !ok {
 		return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, st.active, ErrTornPage)
 	}

@@ -281,3 +281,62 @@ func TestFileDiskHeaderCorruption(t *testing.T) {
 		t.Fatalf("corrupt header open: %v, want ErrTornPage", err)
 	}
 }
+
+// TestFileDiskReadIOErrorNotTorn: an I/O error from the device (here, the
+// file is closed) is reported as itself, not mistaken for a torn page and
+// not as a never-written one.
+func TestFileDiskReadIOErrorNotTorn(t *testing.T) {
+	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(2, mkImage(2, 'A', 100)); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	img, ok, err := d.Read(2)
+	if err == nil {
+		t.Fatalf("read from a closed disk succeeded: ok=%v len=%d", ok, len(img))
+	}
+	if errors.Is(err, ErrTornPage) {
+		t.Fatalf("I/O error reported as a torn page: %v", err)
+	}
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("read error %v does not wrap the device error", err)
+	}
+}
+
+// TestFileDiskReadsDoNotShareBuffers: reads go through recycled slot
+// buffers, so every returned image must be its own copy — a later read
+// must not change an image an earlier read handed out.
+func TestFileDiskReadsDoNotShareBuffers(t *testing.T) {
+	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	want := map[PageID][]byte{}
+	for pid := PageID(1); pid <= 8; pid++ {
+		want[pid] = mkImage(pid, 'Q', 50+10*int(pid))
+		if err := d.Write(pid, want[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[PageID][]byte{}
+	for round := 0; round < 3; round++ {
+		for pid := range want {
+			img, ok, err := d.Read(pid)
+			if err != nil || !ok {
+				t.Fatalf("read %d: ok=%v err=%v", pid, ok, err)
+			}
+			if round == 0 {
+				got[pid] = img
+			}
+		}
+	}
+	for pid, img := range got {
+		if !bytes.Equal(img, want[pid]) {
+			t.Fatalf("page %d image changed by later reads", pid)
+		}
+	}
+}

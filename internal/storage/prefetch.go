@@ -16,16 +16,27 @@ const FPPoolPrefetch = "pool.prefetch"
 // callback's width ahead of the foreground fetch — too late to hide a
 // disk read — so the worker treats each hint as a chain seed: it walks
 // the side-pointer chain (via the codec's SuccessorHint, when the codec
-// provides one) up to `depth` pages past the scan's position, reading
-// ahead of the foreground rather than trailing it. Hints that arrive
-// while the worker is mid-chain are dropped rather than queued —
-// read-ahead is advisory and must never apply backpressure to the scan
-// driving it.
+// provides one) past the scan's position, reading ahead of the
+// foreground rather than trailing it. How far it reads ramps with the
+// scan: a hint carries the number of leaves its scan has consumed, and
+// the chain issues at most that many reads, capped by `depth` — a scan
+// must prove it is long before it earns a long read-ahead, so a short
+// scan does not pay for a window of pages it will never reach. Hints
+// that arrive while the worker is mid-chain are dropped rather than
+// queued — read-ahead is advisory and must never apply backpressure to
+// the scan driving it.
 type prefetcher struct {
-	req   chan PageID
+	req   chan prefetchHint
 	done  chan struct{}
 	depth int
 	wg    sync.WaitGroup
+}
+
+// prefetchHint is one read-ahead request: the scan's next page and how
+// many pages the scan has consumed so far.
+type prefetchHint struct {
+	pid PageID
+	run int
 }
 
 // EnablePrefetch starts the pool's async prefetcher with the given
@@ -37,7 +48,7 @@ func (p *Pool) EnablePrefetch(window int) {
 		return
 	}
 	pf := &prefetcher{
-		req:   make(chan PageID, window),
+		req:   make(chan prefetchHint, window),
 		done:  make(chan struct{}),
 		depth: window,
 	}
@@ -49,7 +60,7 @@ func (p *Pool) EnablePrefetch(window int) {
 			select {
 			case <-pf.done:
 				return
-			case pid := <-pf.req:
+			case h := <-pf.req:
 				// Drain to the newest hint: queued hints are stale
 				// position fixes from leaves the scan already passed,
 				// and a chain from a stale seed spends its whole step
@@ -59,12 +70,12 @@ func (p *Pool) EnablePrefetch(window int) {
 			drain:
 				for {
 					select {
-					case pid = <-pf.req:
+					case h = <-pf.req:
 					default:
 						break drain
 					}
 				}
-				p.prefetchChain(pid, pf)
+				p.prefetchChain(h, pf)
 			}
 		}
 	}()
@@ -82,15 +93,18 @@ func (p *Pool) StopPrefetch() {
 	pf.wg.Wait()
 }
 
-// PrefetchAsync requests an async read-ahead of pid. Non-blocking: with
-// prefetching disabled, pid nil, or the window full, the hint is dropped.
-func (p *Pool) PrefetchAsync(pid PageID) {
+// PrefetchAsync requests an async read-ahead starting at pid, the next
+// page of a scan that has consumed run pages so far: at most run reads
+// are issued (capped by the prefetch window), so read-ahead ramps up
+// with the scan's length. Non-blocking: with prefetching disabled, pid
+// nil, run < 1, or the window full, the hint is dropped.
+func (p *Pool) PrefetchAsync(pid PageID, run int) {
 	pf := p.pf
-	if pf == nil || pid == NilPage {
+	if pf == nil || pid == NilPage || run < 1 {
 		return
 	}
 	select {
-	case pf.req <- pid:
+	case pf.req <- prefetchHint{pid: pid, run: run}:
 	default:
 		// Window full: the worker is behind; dropping the hint just means
 		// the scan's own fetch does the read synchronously.
@@ -98,24 +112,26 @@ func (p *Pool) PrefetchAsync(pid PageID) {
 }
 
 // prefetchChain services one read-ahead request: starting from the
-// hinted page, walk the side-pointer chain and read pages in until
-// pf.depth reads have been issued. Pages already resident are walked
-// through free — they don't consume the read budget — so a hint from a
-// scan whose recent span is still buffered skips to the cold frontier
-// and then runs a full window of reads PAST it; this is what actually
-// puts the worker ahead of the foreground (a budget that counted
-// resident skips would exhaust itself re-covering warmed ground and
-// never lead the scan by more than a page). The step cap — total walk
+// hinted page, walk the side-pointer chain and read pages in until the
+// hint's budget — its run, capped at pf.depth — has been issued. Pages
+// already resident are walked through free — they don't consume the
+// read budget — so a hint from a scan whose recent span is still
+// buffered skips to the cold frontier and then runs its budget of reads
+// PAST it; this is what actually puts the worker ahead of the
+// foreground (a budget that counted resident skips would exhaust itself
+// re-covering warmed ground and never lead the scan by more than a
+// page). The step cap — total walk
 // length, resident or not — bounds how far the frontier can run ahead
 // of the scan: each hint is a fresh position fix, and capping the walk
-// at twice the window keeps the lead inside the pool's ability to hold
+// at twice the budget keeps the lead inside the pool's ability to hold
 // warmed pages until the scan arrives (an uncapped walk laps the scan
 // and its pages are evicted unconsumed). The walk also stops at the
 // chain's end, at the first failed read, or when the codec cannot
 // supply successors (chain length 1 — the single-page behavior).
-func (p *Pool) prefetchChain(pid PageID, pf *prefetcher) {
-	issued := 0
-	for steps := 0; issued < pf.depth && steps < pf.depth*2 && pid != NilPage; steps++ {
+func (p *Pool) prefetchChain(h prefetchHint, pf *prefetcher) {
+	budget := min(h.run, pf.depth)
+	pid, issued := h.pid, 0
+	for steps := 0; issued < budget && steps < budget*2 && pid != NilPage; steps++ {
 		select {
 		case <-pf.done:
 			return

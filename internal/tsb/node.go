@@ -449,9 +449,10 @@ func (Codec) EncodePage(v any) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// DecodePage implements storage.Codec.
+// DecodePage implements storage.Codec. The node's byte strings alias b
+// (see storage.Codec); log payloads are decoded with copying readers.
 func (Codec) DecodePage(b []byte) (any, error) {
-	return decodeNode(enc.NewReader(b))
+	return decodeNode(enc.NewAliasReader(b))
 }
 
 // SuccessorHint implements storage.SuccessorCodec: a data node's

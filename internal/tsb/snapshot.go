@@ -126,7 +126,7 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	t.Stats.SnapshotScans.Add(1)
 	cursor := keys.Clone(lo)
-	for {
+	for leaves := 1; ; leaves++ {
 		type rec struct {
 			k     keys.Key
 			v     []byte
@@ -180,7 +180,7 @@ func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.
 			}
 			if !done {
 				// Read-ahead of the key sibling; see ScanAsOf.
-				t.store.Pool.PrefetchAsync(n.KeySib)
+				t.store.Pool.PrefetchAsync(n.KeySib, leaves)
 			}
 			o.release(&leaf)
 			return nil

@@ -117,11 +117,11 @@ type Stats struct {
 	// version slots dropped from retired nodes; GCRetiredNodes counts the
 	// nodes. SnapshotHistWalks counts history-sibling steps taken by
 	// snapshot point reads chasing invisible versions.
-	SnapshotGets     atomic.Int64
-	SnapshotScans    atomic.Int64
-	SnapshotHistWalks atomic.Int64
-	GCPasses           atomic.Int64
-	GCRetiredNodes     atomic.Int64
+	SnapshotGets        atomic.Int64
+	SnapshotScans       atomic.Int64
+	SnapshotHistWalks   atomic.Int64
+	GCPasses            atomic.Int64
+	GCRetiredNodes      atomic.Int64
 	GCReclaimedVersions atomic.Int64
 	GCRemovedTerms      atomic.Int64
 
@@ -881,7 +881,7 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 // order. hi may be nil for an unbounded scan.
 func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	cursor := keys.Clone(lo)
-	for {
+	for leaves := 1; ; leaves++ {
 		type rec struct {
 			k keys.Key
 			v []byte
@@ -937,8 +937,9 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 			if !done {
 				// Read-ahead: the key sibling is the next leaf the scan will
 				// descend to; start its disk read under this leaf's latch so
-				// it overlaps the callback work on this batch.
-				t.store.Pool.PrefetchAsync(leaf.n.KeySib)
+				// it overlaps the callback work on this batch. The hint's
+				// run (leaves consumed so far) ramps the read-ahead depth.
+				t.store.Pool.PrefetchAsync(leaf.n.KeySib, leaves)
 			}
 			o.release(&leaf)
 			return nil

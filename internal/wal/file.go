@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -364,8 +365,13 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, _ := f.ReadAt(hdr, 0)
+		n, err := f.ReadAt(hdr, 0)
 		f.Close()
+		if err != nil && !errors.Is(err, io.EOF) {
+			// Only a file shorter than its header is a crash leftover;
+			// an I/O error must not get a live segment recycled.
+			return nil, fmt.Errorf("wal: read segment header %s: %w", path, err)
+		}
 		segCap, base, ok := decodeSegHeader(hdr[:n])
 		if !ok {
 			// A crash between creating/renaming a segment file and
