@@ -4,9 +4,9 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test race lockstress benchbuild expbuild benchsmoke bench torture realcrash churn
+.PHONY: check fmt vet build test race lockstress benchbuild expbuild benchsmoke bench torture realcrash churn
 
-## check: everything CI runs — vet, build, tests, the race detector over
+## check: everything CI runs — gofmt, vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
 ## early-lock-release tests in internal/wal and internal/txn), a
 ## compile+link of every benchmark binary (run with zero iterations) so
@@ -16,7 +16,11 @@ REAL_ROUNDS ?= 20
 ## torture run, the real-crash (SIGKILL) recovery gate over real files,
 ## the sustained-churn steady-state gate, and the lock-manager stress
 ## gate.
-check: vet build test race lockstress benchbuild expbuild benchsmoke torture realcrash churn
+check: fmt vet build test race lockstress benchbuild expbuild benchsmoke torture realcrash churn
+
+## fmt: every Go file is gofmt-clean (gofmt -l prints nothing).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

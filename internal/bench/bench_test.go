@@ -94,7 +94,7 @@ func benchmarkSearchDescent(b *testing.B, pessimistic bool) {
 }
 
 func BenchmarkSearchDescentOptimistic(b *testing.B) { benchmarkSearchDescent(b, false) }
-func BenchmarkSearchDescentLatched(b *testing.B)   { benchmarkSearchDescent(b, true) }
+func BenchmarkSearchDescentLatched(b *testing.B)    { benchmarkSearchDescent(b, true) }
 
 // TestPercentileDur pins the percentile helper.
 func TestPercentileDur(t *testing.T) {

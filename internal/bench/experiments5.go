@@ -151,7 +151,7 @@ func T16SnapshotReads(w io.Writer, p Params) {
 		var wrote atomic.Int64
 		var wwg sync.WaitGroup
 		wwg.Add(1)
-		go func() { defer wwg.Done(); writer(&stop, &wrote, int64(tc)*31 + 7) }()
+		go func() { defer wwg.Done(); writer(&stop, &wrote, int64(tc)*31+7) }()
 
 		var lagSample atomic.Uint64
 		go func() {

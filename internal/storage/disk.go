@@ -47,7 +47,9 @@ type Disk interface {
 	// images and others new.
 	Write(pid PageID, img []byte) error
 	// Read returns the stable image of pid; ok=false means the page was
-	// never flushed (not an error). The caller must not modify img: it
+	// never flushed (not an error). A device error, including one that
+	// makes a file-backed page unreadable, is returned as an error, never
+	// as ok=false or as a torn page. The caller must not modify img: it
 	// may be the device's own copy, and decoded pages alias it.
 	Read(pid PageID) (img []byte, ok bool, err error)
 	// Snapshot returns an independent in-memory copy of the current

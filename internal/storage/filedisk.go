@@ -31,8 +31,26 @@
 //	  [24:28) CRC32C over bytes [4:24) + content
 //	  [28:..) page image (pageLSN header + tag + codec content)
 //
-// Reads verify the active slot's checksum; on open both slots are
-// scanned and the newest intact one wins. Both slots present but corrupt
+// Reads copy out of a read-only shared mapping of the file (PROT_READ,
+// MAP_SHARED), not through pread: a page miss is a memcpy from the page
+// cache with no system call. The mapping only moves bytes; the buffer
+// pool still decides what is cached and writes still go through pwrite
+// in write-ahead order. Its invariants:
+//
+//   - every access is below the written size the disk tracks, so a
+//     corrupt length reads as a short slot (ErrTornPage), never as an
+//     access past end of file;
+//   - a read copies the slot frame out first and verifies the private
+//     copy (magic, page ID, length, CRC), never the shared mapping;
+//   - the mapping grows geometrically and is replaced only under the
+//     exclusive d.mu that writes take, while readers hold d.mu shared
+//     across their copy, so no write or remap lands in the middle of one;
+//   - every mapped copy runs under debug.SetPanicOnFault, so a page the
+//     kernel cannot supply (an I/O error, a file cut short behind the
+//     disk's back) comes back as an error, not a SIGBUS.
+//
+// On open the slots are verified in place through the mapping and the
+// newest intact one of each page wins. Both slots present but corrupt
 // means the stable image is genuinely lost — ErrTornPage, fatal, because
 // redo needs an intact base image. One corrupt slot and one zero slot is
 // a torn FIRST write: the page was never completely flushed, so it reads
@@ -44,10 +62,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 const (
@@ -59,6 +78,9 @@ const (
 	// DefaultSlotSize is the default per-slot size; an image must fit in
 	// slotSize-slotHdrLen bytes.
 	DefaultSlotSize = 8192
+	// minMapLen is the smallest read mapping; it doubles from there as
+	// the file grows, so a file of size S is remapped O(log S) times.
+	minMapLen = 1 << 20
 )
 
 var fdCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -71,6 +93,7 @@ type FileDiskStats struct {
 	ChecksumChecks int64 // slot checksum verifications (reads + open scan)
 	ChecksumFails  int64
 	Fsyncs         int64
+	MapGrows       int64 // read mapping replaced by a larger one
 }
 
 type fdSlotState struct {
@@ -84,15 +107,21 @@ type fdSlotState struct {
 // calls at checkpoints before recycling log segments (write-ahead
 // ordering: a page's log records are always forced before the page is
 // flushed, and its segments are only recycled after the page is synced).
+// Read copies the page out of a read-only mapping of the file, with no
+// system call (see the package comment above for its invariants).
 type FileDisk struct {
 	path     string
 	slotSize int
 
-	mu    sync.RWMutex
-	f     *os.File
+	mu sync.RWMutex
+	f  *os.File
+	// m maps the file read-only from offset 0; len(m) >= size, but only
+	// bytes below size exist in the file. nil once closed.
+	m     []byte
+	size  int64 // bytes written to the file so far
 	pages map[PageID]*fdSlotState
-	// slotBufs recycles slot-size read buffers (*[]byte), so a page read
-	// allocates only the image it returns.
+	// slotBufs recycles slot-size buffers (*[]byte) that writes frame
+	// their slot in, so a page write allocates nothing.
 	slotBufs sync.Pool
 
 	checks atomic.Int64
@@ -101,6 +130,7 @@ type FileDisk struct {
 	bytes  atomic.Int64
 	parts  atomic.Int64
 	syncs  atomic.Int64
+	grows  atomic.Int64
 }
 
 // OpenFileDisk opens or creates the page file at path. slotSize <= 0
@@ -118,20 +148,26 @@ func OpenFileDisk(path string, slotSize int) (*FileDisk, error) {
 		return nil, err
 	}
 	d := &FileDisk{path: path, slotSize: slotSize, f: f, pages: make(map[PageID]*fdSlotState)}
-	// Reads start only once d.slotSize is final (below, from the header).
+	// Writes start only once d.slotSize is final (below, from the header).
 	d.slotBufs.New = func() any { b := make([]byte, d.slotSize); return &b }
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if st.Size() == 0 {
+	d.size = st.Size()
+	if d.size == 0 {
 		var hdr [fdHdrLen]byte
 		copy(hdr[0:8], fdMagic)
 		binary.LittleEndian.PutUint32(hdr[8:], fdVersion)
 		binary.LittleEndian.PutUint32(hdr[12:], uint32(slotSize))
 		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[0:16], fdCRCTable))
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
+			f.Close()
+			return nil, err
+		}
+		d.size = fdHdrLen
+		if err := d.mapTo(d.size); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -149,28 +185,74 @@ func OpenFileDisk(path string, slotSize int) (*FileDisk, error) {
 		return nil, fmt.Errorf("storage: page file %s header corrupt: %w", path, ErrTornPage)
 	}
 	d.slotSize = int(binary.LittleEndian.Uint32(hdr[12:]))
-	if err := d.scan(st.Size()); err != nil {
+	if err := d.mapTo(d.size); err != nil {
 		f.Close()
+		return nil, err
+	}
+	if err := d.scan(); err != nil {
+		d.Close()
 		return nil, err
 	}
 	return d, nil
 }
 
-// scan walks every slot pair, electing each page's newest intact image.
-func (d *FileDisk) scan(size int64) error {
+// mapTo makes the read mapping cover the file's first end bytes,
+// doubling its length until it does. The caller holds d.mu exclusively
+// (or owns d outright, at open), so no reader is copying out of the old
+// mapping when it is unmapped.
+func (d *FileDisk) mapTo(end int64) error {
+	n := int64(len(d.m))
+	if end <= n {
+		return nil
+	}
+	for n = max(n, minMapLen); n < end; n *= 2 {
+	}
+	m, err := syscall.Mmap(int(d.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("storage: page file %s: map %d bytes: %w", d.path, n, err)
+	}
+	if d.m != nil {
+		if err := syscall.Munmap(d.m); err != nil {
+			_ = syscall.Munmap(m) // the unmap error above is the one to report
+			return fmt.Errorf("storage: page file %s: unmap: %w", d.path, err)
+		}
+		d.grows.Add(1)
+	}
+	d.m = m
+	return nil
+}
+
+// recoverFault, deferred by every function that reads d.m under
+// debug.SetPanicOnFault, turns the panic a mapped page the kernel cannot
+// supply raises (an I/O error, or a file cut short behind the disk's
+// back) into an error in *err. Any other panic is re-raised.
+func (d *FileDisk) recoverFault(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if f, ok := r.(interface {
+		error
+		Addr() uintptr
+	}); ok {
+		*err = fmt.Errorf("storage: page file %s: mapped page unreadable (I/O error or file cut short): %w", d.path, f)
+		return
+	}
+	panic(r)
+}
+
+// scan walks every slot pair in place through the mapping, electing each
+// page's newest intact image.
+func (d *FileDisk) scan() (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer d.recoverFault(&err)
 	pairBytes := int64(2 * d.slotSize)
-	npages := (size - fdHdrLen + pairBytes - 1) / pairBytes
-	buf := make([]byte, pairBytes)
+	npages := (d.size - fdHdrLen + pairBytes - 1) / pairBytes
 	for i := int64(0); i < npages; i++ {
 		off := fdHdrLen + i*pairBytes
-		n, err := d.f.ReadAt(buf, off)
-		if err != nil && !errors.Is(err, io.EOF) {
-			// Only a short read at the end of the file is legal; an I/O
-			// error must not pass for a torn or never-written page.
-			return fmt.Errorf("storage: page file %s: read slots at %d: %w", d.path, off, err)
-		}
+		// Only a pair cut short at the end of the file is legal.
+		pair := d.m[off:min(off+pairBytes, d.size)]
 		pid := PageID(i + 1)
-		pair := buf[:n]
 		var st fdSlotState
 		haveValid := false
 		nonzeroCorrupt := 0
@@ -179,18 +261,13 @@ func (d *FileDisk) scan(size int64) error {
 			if lo >= len(pair) {
 				break
 			}
-			hi := lo + d.slotSize
-			if hi > len(pair) {
-				hi = len(pair)
-			}
-			slot := pair[lo:hi]
-			img, seq, ok := d.verifySlot(slot, pid)
+			slot := pair[lo:min(lo+d.slotSize, len(pair))]
+			_, seq, ok := d.verifySlot(slot, pid)
 			if ok {
 				if !haveValid || seq > st.seq {
 					st.active, st.seq = s, seq
 				}
 				haveValid = true
-				_ = img
 			} else if !allZero(slot) {
 				nonzeroCorrupt++
 			}
@@ -249,12 +326,14 @@ func (d *FileDisk) slotOff(pid PageID, slot int) int64 {
 	return fdHdrLen + (int64(pid)-1)*2*int64(d.slotSize) + int64(slot)*int64(d.slotSize)
 }
 
-// frameSlot builds the on-disk slot frame for img.
-func (d *FileDisk) frameSlot(pid PageID, seq uint64, img []byte) ([]byte, error) {
+// frameSlot builds the on-disk slot frame for img in a pooled slot
+// buffer; the caller returns bp to d.slotBufs once the frame is written.
+func (d *FileDisk) frameSlot(pid PageID, seq uint64, img []byte) (b []byte, bp *[]byte, err error) {
 	if len(img) > d.slotSize-slotHdrLen {
-		return nil, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-slotHdrLen)
+		return nil, nil, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-slotHdrLen)
 	}
-	b := make([]byte, slotHdrLen+len(img))
+	bp = d.slotBufs.Get().(*[]byte)
+	b = (*bp)[:slotHdrLen+len(img)]
 	binary.LittleEndian.PutUint32(b[0:], slotMagic)
 	binary.LittleEndian.PutUint64(b[4:], seq)
 	binary.LittleEndian.PutUint64(b[12:], uint64(pid))
@@ -263,7 +342,24 @@ func (d *FileDisk) frameSlot(pid PageID, seq uint64, img []byte) ([]byte, error)
 	h := crc32.Checksum(b[4:24], fdCRCTable)
 	h = crc32.Update(h, fdCRCTable, b[slotHdrLen:])
 	binary.LittleEndian.PutUint32(b[24:], h)
-	return b, nil
+	return b, bp, nil
+}
+
+// writeAt pwrites b at off, first growing the read mapping to cover the
+// file's new end. The caller holds d.mu exclusively.
+func (d *FileDisk) writeAt(b []byte, off int64) error {
+	if d.m == nil {
+		return fmt.Errorf("storage: page file %s: write: %w", d.path, os.ErrClosed)
+	}
+	end := off + int64(len(b))
+	if err := d.mapTo(end); err != nil {
+		return err
+	}
+	if _, err := d.f.WriteAt(b, off); err != nil {
+		return err
+	}
+	d.size = max(d.size, end)
+	return nil
 }
 
 // Write replaces the stable image of pid via careful replacement: the
@@ -280,11 +376,12 @@ func (d *FileDisk) Write(pid PageID, img []byte) error {
 	if st != nil && !st.torn {
 		target, seq = 1-st.active, st.seq+1
 	}
-	b, err := d.frameSlot(pid, seq, img)
+	b, bp, err := d.frameSlot(pid, seq, img)
 	if err != nil {
 		return err
 	}
-	if _, err := d.f.WriteAt(b, d.slotOff(pid, target)); err != nil {
+	defer d.slotBufs.Put(bp)
+	if err := d.writeAt(b, d.slotOff(pid, target)); err != nil {
 		return err
 	}
 	d.writes.Add(1)
@@ -313,10 +410,11 @@ func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
 	if st != nil && !st.torn {
 		target, seq = 1-st.active, st.seq+1
 	}
-	b, err := d.frameSlot(pid, seq, img)
+	b, bp, err := d.frameSlot(pid, seq, img)
 	if err != nil {
 		return err
 	}
+	defer d.slotBufs.Put(bp)
 	n := int(frac * float64(len(b)))
 	if n >= len(b) {
 		n = len(b) - 1 // a complete frame would not be torn
@@ -324,14 +422,15 @@ func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
 	if n <= 0 {
 		return nil
 	}
-	if _, err := d.f.WriteAt(b[:n], d.slotOff(pid, target)); err != nil {
+	if err := d.writeAt(b[:n], d.slotOff(pid, target)); err != nil {
 		return err
 	}
 	d.parts.Add(1)
 	return nil
 }
 
-// Read returns the stable image of pid, verifying its checksum.
+// Read returns the stable image of pid, copied out of the read mapping
+// and then verified (magic, page ID, length, checksum).
 func (d *FileDisk) Read(pid PageID) ([]byte, bool, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -346,19 +445,42 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 	if st.torn {
 		return nil, false, fmt.Errorf("storage: page %d: both slots corrupt: %w", pid, ErrTornPage)
 	}
-	bp := d.slotBufs.Get().(*[]byte)
-	defer d.slotBufs.Put(bp)
-	n, err := d.f.ReadAt(*bp, d.slotOff(pid, st.active))
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, err)
+	if d.m == nil {
+		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, os.ErrClosed)
 	}
-	img, _, ok := d.verifySlot((*bp)[:n], pid)
+	img, err := d.copySlot(pid, st.active)
+	if err != nil {
+		return nil, false, err
+	}
+	return img, true, nil
+}
+
+// copySlot copies slot s of pid out of the mapping into a fresh buffer
+// and verifies that private copy. The copy takes the header and only as
+// many content bytes as the header's length claims, bounded by the slot
+// and by the written size: a slot the file cuts short, or a corrupt
+// length, fails verification as a short frame. The length is read from
+// the mapping only to size the copy; every check reads the copy. The
+// image returned is a subslice of the frame, so one allocation holds
+// both (a separate stack copy of the header would escape into the CRC
+// call and cost a second), and append does not zero it before the copy.
+func (d *FileDisk) copySlot(pid PageID, s int) (img []byte, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer d.recoverFault(&err)
+	off := d.slotOff(pid, s)
+	n := min(d.size-off, int64(d.slotSize))
+	if n >= slotHdrLen {
+		n = min(n, slotHdrLen+int64(binary.LittleEndian.Uint32(d.m[off+20:])))
+	}
+	var frame []byte
+	if n > 0 {
+		frame = append([]byte(nil), d.m[off:off+n]...)
+	}
+	img, _, ok := d.verifySlot(frame, pid)
 	if !ok {
-		return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, st.active, ErrTornPage)
+		return nil, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, s, ErrTornPage)
 	}
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	return cp, true, nil
+	return img, nil
 }
 
 // Snapshot copies every intact stable image into a MemDisk.
@@ -407,11 +529,19 @@ func (d *FileDisk) Sync() error {
 	return nil
 }
 
-// Close closes the page file without syncing.
+// Close unmaps and closes the page file without syncing.
 func (d *FileDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.f.Close()
+	var uerr error
+	if d.m != nil {
+		uerr = syscall.Munmap(d.m)
+		d.m = nil
+	}
+	if err := d.f.Close(); err != nil {
+		return err
+	}
+	return uerr
 }
 
 // Stats returns a snapshot of the physical-work counters.
@@ -423,5 +553,6 @@ func (d *FileDisk) Stats() FileDiskStats {
 		ChecksumChecks: d.checks.Load(),
 		ChecksumFails:  d.fails.Load(),
 		Fsyncs:         d.syncs.Load(),
+		MapGrows:       d.grows.Load(),
 	}
 }

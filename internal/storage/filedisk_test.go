@@ -3,8 +3,12 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -306,9 +310,9 @@ func TestFileDiskReadIOErrorNotTorn(t *testing.T) {
 	}
 }
 
-// TestFileDiskReadsDoNotShareBuffers: reads go through recycled slot
-// buffers, so every returned image must be its own copy — a later read
-// must not change an image an earlier read handed out.
+// TestFileDiskReadsDoNotShareBuffers: every returned image must be its
+// own copy, never a view of the mapping or of a recycled buffer — a
+// later read must not change an image an earlier read handed out.
 func TestFileDiskReadsDoNotShareBuffers(t *testing.T) {
 	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
 	if err != nil {
@@ -338,5 +342,141 @@ func TestFileDiskReadsDoNotShareBuffers(t *testing.T) {
 		if !bytes.Equal(img, want[pid]) {
 			t.Fatalf("page %d image changed by later reads", pid)
 		}
+	}
+}
+
+// TestFileDiskTruncatedFileIsAnError: a page file cut short behind an
+// open disk's back leaves mapped pages the kernel cannot supply (SIGBUS).
+// A page read and the open scan must each report that as an error —
+// not as a torn page, not as a never-written page, and not as a crash.
+func TestFileDiskTruncatedFileIsAnError(t *testing.T) {
+	const slot = 512
+	path := filepath.Join(t.TempDir(), "pages.db")
+	d, err := OpenFileDisk(path, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// The kernel zero-fills the rest of a file's last OS page, so a slot
+	// inside the first one would read as zeros (a torn page) after the
+	// cut. Read a page whose slots lie wholly past it.
+	pid := PageID(os.Getpagesize()/(2*slot) + 2)
+	for p := PageID(1); p <= pid; p++ {
+		if err := d.Write(p, mkImage(p, 'T', 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(path, fdHdrLen); err != nil {
+		t.Fatal(err)
+	}
+	img, ok, err := d.Read(pid)
+	if err == nil || ok {
+		t.Fatalf("read of a truncated page: ok=%v len=%d err=%v, want an error", ok, len(img), err)
+	}
+	if errors.Is(err, ErrTornPage) {
+		t.Fatalf("truncated file reported as a torn page: %v", err)
+	}
+	// The open scan, over the size the disk knew before the cut (the
+	// file shrinking between the size check and the scan).
+	err = d.scan()
+	if err == nil || errors.Is(err, ErrTornPage) {
+		t.Fatalf("scan of a truncated file: %v, want an error that is not ErrTornPage", err)
+	}
+}
+
+// TestFileDiskRemapUnderReaders: readers check random pages against
+// their images while one writer grows the file across several mapping
+// growths and flips existing pages between their slots. Under -race this
+// also checks that every remap is ordered against every mapped copy.
+func TestFileDiskRemapUnderReaders(t *testing.T) {
+	const slot = 512
+	path := filepath.Join(t.TempDir(), "pages.db")
+	d, err := OpenFileDisk(path, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	image := func(pid PageID) []byte { return mkImage(pid, 'R', 40+int(pid)%200) }
+	// Past 4x the first mapping: at least three growths (1x->2x->4x->8x).
+	npages := PageID(4*minMapLen/(2*slot) + 64)
+	var written atomic.Int64 // pages [1, written] are readable
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	stopReaders := func() { stop.Store(true); wg.Wait() }
+	defer stopReaders()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				n := written.Load()
+				if n == 0 {
+					continue
+				}
+				pid := PageID(rng.Int63n(n) + 1)
+				img, ok, err := d.Read(pid)
+				if err != nil || !ok || !bytes.Equal(img, image(pid)) {
+					t.Errorf("read %d: ok=%v err=%v", pid, ok, err)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	rng := rand.New(rand.NewSource(99))
+	for pid := PageID(1); pid <= npages; pid++ {
+		if err := d.Write(pid, image(pid)); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite an older page: its current slot flips under the readers.
+		old := PageID(rng.Int63n(int64(pid)) + 1)
+		if err := d.Write(old, image(old)); err != nil {
+			t.Fatal(err)
+		}
+		written.Store(int64(pid))
+	}
+	stopReaders()
+	grows := d.Stats().MapGrows
+	if limit := int64(bits.Len64(uint64(d.size / minMapLen))); grows < 3 || grows > limit {
+		t.Fatalf("mapping grew %d times for a %d-byte file, want 3..%d", grows, d.size, limit)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenFileDisk(path, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for pid := PageID(1); pid <= npages; pid++ {
+		img, ok, err := d2.Read(pid)
+		if err != nil || !ok || !bytes.Equal(img, image(pid)) {
+			t.Fatalf("reopen read %d: ok=%v err=%v", pid, ok, err)
+		}
+	}
+}
+
+// TestFileDiskOverwriteAllocs: writes frame their slot in a pooled
+// buffer, so overwriting an existing page allocates nothing.
+func TestFileDiskOverwriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; alloc counts are meaningless")
+	}
+	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	img := mkImage(3, 'W', 300)
+	if err := d.Write(3, img); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Write(3, img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("overwrite made %.1f allocations, want 0", allocs)
 	}
 }

@@ -55,7 +55,7 @@ type Frame struct {
 	// which only starts redo earlier — never too late.
 	recLSN atomic.Uint64
 
-	pins atomic.Int64
+	pins     atomic.Int64
 	ref      atomic.Uint32 // clock reference bit (bounded pools)
 	clockIdx int           // position in the owning shard's clock ring; shard mu
 
@@ -328,7 +328,7 @@ type Pool struct {
 	disk    Disk
 	log     *wal.Log
 	codec   Codec
-	cap     int // 0 = unbounded
+	cap     int             // 0 = unbounded
 	inj     *fault.Injector // set once before concurrent use; may be nil
 
 	// Unbounded regime.
