@@ -32,7 +32,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
+	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
 
 ## lockstress: the waits-for graph under contention, many times over —
 ## a stale edge shows up as a false ErrDeadlock in the lock stress test,

@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
+	"repro/internal/pitree"
 	"repro/internal/txn"
 )
 
@@ -21,95 +21,6 @@ const FPBatchApply = "core.batchapply"
 // errBatchArgs reports mismatched parallel-slice lengths.
 var errBatchArgs = errors.New("core: batch argument slices have different lengths")
 
-// batchScratch holds the reusable per-batch working storage: the key
-// permutation, the run's lock names, and the run's group-update records.
-// Pooled so a steady stream of batches allocates nothing (see
-// TestMultiGetAllocs).
-type batchScratch struct {
-	idx   []int
-	names []lock.Name
-	ups   []txn.GroupUpdate
-}
-
-var batchScratchPool sync.Pool
-
-// takeBatchScratch returns a scratch with idx initialized to the identity
-// permutation of length n.
-func takeBatchScratch(n int) *batchScratch {
-	sc, _ := batchScratchPool.Get().(*batchScratch)
-	if sc == nil {
-		sc = new(batchScratch)
-	}
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	sc.idx = sc.idx[:n]
-	for i := range sc.idx {
-		sc.idx[i] = i
-	}
-	return sc
-}
-
-func putBatchScratch(sc *batchScratch) {
-	for i := range sc.ups {
-		sc.ups[i] = txn.GroupUpdate{} // drop payload references
-	}
-	sc.ups = sc.ups[:0]
-	batchScratchPool.Put(sc)
-}
-
-// sortIdx sorts the index permutation by key. Binary-insertion sort: the
-// batch sizes this path is built for are modest, and sort.Slice's closure
-// is a heap allocation the zero-allocation MultiGet path cannot afford.
-func sortIdx(idx []int, ks []keys.Key) {
-	for i := 1; i < len(idx); i++ {
-		j := i
-		for j > 0 && keys.Compare(ks[idx[j-1]], ks[idx[j]]) > 0 {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-			j--
-		}
-	}
-}
-
-// runEnd extends a run starting at pos: every following batch key the leaf
-// directly contains joins the run (sorted order makes the containable
-// suffix contiguous).
-func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
-	end := pos + 1
-	for end < len(idx) && leaf.n.DirectlyContains(ks[idx[end]]) {
-		end++
-	}
-	return end
-}
-
-// lockRun takes the run's record locks in one lock-manager interaction.
-// It returns errRetry after a No-Wait dance (latch released, blocking
-// acquisition of the conflicting name, run restarted) and nil when every
-// lock is held with the latch kept. Because every batch locks its keys in
-// sorted order, two batches' acquisition orders agree and batch-vs-batch
-// deadlocks cannot arise from these locks alone; a conflict with a
-// single-key writer falls back to the blocking path, where the waits-for
-// detector remains the backstop.
-func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batchScratch, mode lock.Mode) error {
-	if o.txn == nil {
-		return nil
-	}
-	names := sc.names[:0]
-	for _, i := range run {
-		names = append(names, t.recLockName(ks[i]))
-	}
-	sc.names = names
-	fail := o.txn.TryLockBatch(names, mode)
-	if fail < 0 {
-		return nil
-	}
-	o.release(leaf)
-	if err := o.txn.Lock(names[fail], mode); err != nil {
-		return err
-	}
-	return errRetry
-}
-
 // MultiGet looks up a batch of keys with one descent and one latch hold
 // per distinct leaf. found[i] and vals[i] report key ks[i]; each value is
 // appended to vals[i][:0], so callers reusing the slices across batches
@@ -123,44 +34,43 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 		return nil
 	}
 	t.Stats.Searches.Add(int64(len(ks)))
-	sc := takeBatchScratch(len(ks))
-	sortIdx(sc.idx, ks)
-	// Hand-rolled retry loop, like SearchInto: a retryLoop closure would
+	sc := pitree.TakeBatch(ks)
+	// Hand-rolled retry loop, like SearchInto: a t.pi.Retry closure would
 	// capture the slices and allocate on every batch.
 	pos := 0
 	for pos < len(ks) {
-		o := t.newOp(tx)
-		leaf, err := t.descendTo(o, ks[sc.idx[pos]], 0, latch.S, true, nil)
+		o := t.pi.NewOp(tx)
+		leaf, err := t.pi.Descend(o, ks[sc.Idx[pos]], 0, latch.S, true, nil)
 		if err == nil {
-			end := runEnd(&leaf, ks, sc.idx, pos)
-			run := sc.idx[pos:end]
-			err = t.lockRun(o, &leaf, ks, run, sc, lock.S)
+			end := sc.RunEnd(ks, pos, leaf.N.DirectlyContains)
+			run := sc.Idx[pos:end]
+			err = o.LockRun(&leaf, sc, t.lockSpace, ks, run, lock.S)
 			if err == nil {
 				for _, i := range run {
-					if j, ok := leaf.n.search(ks[i]); ok {
-						vals[i] = append(vals[i][:0], leaf.n.Entries[j].Value...)
+					if j, ok := leaf.N.search(ks[i]); ok {
+						vals[i] = append(vals[i][:0], leaf.N.Entries[j].Value...)
 						found[i] = true
 					} else {
 						found[i] = false
 					}
 				}
-				o.release(&leaf)
+				o.Release(&leaf)
 				t.Stats.BatchOps.Add(1)
 				t.Stats.LeafVisitsSaved.Add(int64(len(run) - 1))
 				pos = end
 			}
 		}
-		o.done()
+		o.Done()
 		if err != nil {
-			if errors.Is(err, errRetry) {
+			if errors.Is(err, pitree.ErrRetry) {
 				t.Stats.Restarts.Add(1)
 				continue
 			}
-			putBatchScratch(sc)
+			sc.Release()
 			return err
 		}
 	}
-	putBatchScratch(sc)
+	sc.Release()
 	return nil
 }
 
@@ -187,59 +97,45 @@ func (t *Tree) MultiDelete(tx *txn.Txn, ks []keys.Key) error {
 }
 
 func (t *Tree) batchMutate(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool) error {
-	if len(ks) == 0 {
-		return nil
-	}
-	sc := takeBatchScratch(len(ks))
-	defer putBatchScratch(sc)
-	sortIdx(sc.idx, ks)
-	pos := 0
-	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			return t.mutateRun(tx, ks, vals, del, sc, &pos)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.pi.EachRun(ks, func(sc *pitree.Batch, pos *int) error {
+		return t.mutateRun(tx, ks, vals, del, sc, pos)
+	})
 }
 
 // mutateRun applies one leaf-run: descend with a U latch to the leaf
 // containing the first unprocessed key, extend the run across every batch
 // key that leaf directly contains, lock the run, and apply it under a
 // single X latch with the run's log records emitted as one group append.
-// On success pos advances past the applied keys; errRetry re-enters with
+// On success pos advances past the applied keys; pitree.ErrRetry re-enters with
 // pos unchanged (or advanced past a partial run when the leaf filled
 // mid-run, with the remainder re-descending into the post-split leaves).
-func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc *batchScratch, pos *int) error {
-	o := t.newOp(tx)
-	defer o.done()
-	path := newPath()
-	leaf, err := t.descendTo(o, ks[sc.idx[*pos]], 0, latch.U, true, path)
+func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc *pitree.Batch, pos *int) error {
+	o := t.pi.NewOp(tx)
+	defer o.Done()
+	path := pitree.NewPath()
+	leaf, err := t.pi.Descend(o, ks[sc.Idx[*pos]], 0, latch.U, true, path)
 	if err != nil {
 		return err
 	}
-	end := runEnd(&leaf, ks, sc.idx, *pos)
-	run := sc.idx[*pos:end]
+	end := sc.RunEnd(ks, *pos, leaf.N.DirectlyContains)
+	run := sc.Idx[*pos:end]
 
-	if err := t.lockRun(o, &leaf, ks, run, sc, lock.X); err != nil {
+	if err := o.LockRun(&leaf, sc, t.lockSpace, ks, run, lock.X); err != nil {
 		return err
 	}
 
-	if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+	if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 		if err := t.splitLeaf(o, &leaf, path); err != nil {
 			return err
 		}
-		return errRetry
+		return pitree.ErrRetry
 	}
 
 	// Page-granule IX lock, as in modify: marks this transaction as an
 	// updater of the leaf for later move locks to wait on.
 	if tx != nil && t.binding.PageOriented() {
-		if restart, err := o.lockDance(&leaf, t.pageLockName(leaf.pid()), lock.IX); err != nil {
+		if err := o.LockDance(&leaf, t.pageLockName(leaf.PID()), lock.IX); err != nil {
 			return err
-		} else if restart {
-			return errRetry
 		}
 	}
 
@@ -257,66 +153,59 @@ func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc
 		if aa != nil {
 			_ = aa.Abort() // nothing logged; empty abort keeps the log tidy
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return err
 	}
 
-	o.promote(&leaf)
-	oldCount := len(leaf.n.Entries)
-	ups := sc.ups[:0]
+	o.Promote(&leaf)
+	oldCount := len(leaf.N.Entries)
+	ups := sc.Ups[:0]
 	applied := 0
 	for _, i := range run {
 		k := ks[i]
 		if del {
-			j, exists := leaf.n.search(k)
+			j, exists := leaf.N.search(k)
 			if exists {
-				old := leaf.n.Entries[j].Value
+				old := leaf.N.Entries[j].Value
 				ups = append(ups, txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, old)})
-				leaf.n.deleteEntry(k)
+				leaf.N.deleteEntry(k)
 				t.Stats.Deletes.Add(1)
 			}
-		} else if j, exists := leaf.n.search(k); exists {
-			old := leaf.n.Entries[j].Value
+		} else if j, exists := leaf.N.search(k); exists {
+			old := leaf.N.Entries[j].Value
 			ups = append(ups, txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, vals[i], old)})
-			leaf.n.Entries[j].Value = append([]byte(nil), vals[i]...)
+			leaf.N.Entries[j].Value = append([]byte(nil), vals[i]...)
 			t.Stats.Updates.Add(1)
 		} else {
-			if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+			if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 				// The leaf filled mid-run. Stop here: the applied prefix is
 				// logged below, and the remainder restarts with a fresh
 				// descent that splits this leaf first.
 				break
 			}
 			ups = append(ups, txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, vals[i])})
-			leaf.n.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), vals[i]...)})
+			leaf.N.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), vals[i]...)})
 			t.Stats.Inserts.Add(1)
 		}
 		applied++
 	}
-	sc.ups = ups
-	if len(ups) > 0 {
-		first, last := act.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.pid()), ups)
-		// Both marks matter: the first publishes recLSN covering the whole
-		// run if the page was clean, the second advances pageLSN to the
-		// run's last record.
-		leaf.f.MarkDirty(first)
-		leaf.f.MarkDirty(last)
-	}
-	t.Stats.NoteLeafUtil(oldCount, len(leaf.n.Entries), t.opts.LeafCapacity)
+	sc.Ups = ups
+	o.LogRun(act, &leaf, ups)
+	t.Stats.NoteLeafUtil(oldCount, len(leaf.N.Entries), t.opts.LeafCapacity)
 	t.Stats.BatchOps.Add(1)
 	t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
 	// Commit before unlatching, as in modify: the atomic action's effects
 	// must be durable-ordered before any dependent action can observe them.
 	if aa != nil {
 		if cerr := aa.Commit(); cerr != nil {
-			o.release(&leaf)
+			o.Release(&leaf)
 			return cerr
 		}
 	}
 	if del {
 		t.maybeScheduleConsolidation(&leaf)
 	}
-	o.release(&leaf)
+	o.Release(&leaf)
 	*pos += applied
 	return nil
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 )
 
@@ -70,173 +68,44 @@ func (rootShrinkTask) key() taskKey { return taskKey{kind: taskRootShrink} }
 
 type completionTask interface{ key() taskKey }
 
-// completer schedules and executes completing atomic actions: index-term
-// postings and node consolidations. Scheduling is non-blocking and safe
-// to call while holding latches; execution happens on worker goroutines
-// (or inside DrainCompletions when SyncCompletion is set). Duplicate
-// schedulings of the same pending task are folded together — additional
-// duplicates that slip through are harmless because every completing
-// action re-tests the tree state before changing anything (§5.1).
-type completer struct {
-	t       *Tree
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   []completionTask
-	pending map[taskKey]struct{}
-	active  int
-	stopped bool
-	wg      sync.WaitGroup
-	// draining suspends governor pacing so shutdown drains at full speed.
-	draining atomic.Bool
-}
-
-// depth reports the current queue depth (scheduled, unpopped tasks).
-func (c *completer) depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tasks)
-}
+// completer is the tree's completion queue: posting tasks run unpaced,
+// consolidations and root shrinks as governor-paced maintenance (merges
+// must never convoy foreground mutators).
+type completer = pitree.Queue[taskKey, completionTask]
 
 func newCompleter(t *Tree) *completer {
-	c := &completer{
-		t:       t,
-		pending: make(map[taskKey]struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	if !t.opts.SyncCompletion {
-		for i := 0; i < t.opts.CompletionWorkers; i++ {
-			c.wg.Add(1)
-			go c.worker()
-		}
-	}
-	return c
+	return pitree.NewQueue[taskKey](pitree.QueueOptions{
+		Workers:  t.opts.CompletionWorkers,
+		Inline:   t.opts.SyncCompletion,
+		Off:      t.opts.NoCompletion,
+		Governor: t.opts.Governor,
+	}, t.run)
 }
 
-func (c *completer) schedule(task completionTask) {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
-	}
-	if _, dup := c.pending[task.key()]; dup {
-		c.mu.Unlock()
-		return
-	}
-	c.pending[task.key()] = struct{}{}
-	c.tasks = append(c.tasks, task)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *completer) schedulePost(task postTask) {
-	if task.path == nil {
-		task.path = newPath()
-	}
-	c.t.Stats.PostsScheduled.Add(1)
-	c.schedule(task)
-}
-
-func (c *completer) scheduleConsolidate(task consolidateTask) {
-	c.schedule(task)
-}
-
-func (c *completer) scheduleRootShrink() {
-	c.schedule(rootShrinkTask{})
-}
-
-// pop removes the next task, or returns nil if none (and, when block is
-// true, waits for one unless stopped).
-func (c *completer) pop(block bool) completionTask {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.tasks) == 0 {
-		if !block || c.stopped {
-			return nil
-		}
-		c.cond.Wait()
-	}
-	task := c.tasks[0]
-	c.tasks = c.tasks[1:]
-	delete(c.pending, task.key())
-	c.active++
-	return task
-}
-
-func (c *completer) done() {
-	c.mu.Lock()
-	c.active--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *completer) run(task completionTask) {
-	defer c.done()
+// run dispatches one completing task.
+func (t *Tree) run(task completionTask) {
 	switch task := task.(type) {
 	case postTask:
-		c.t.postIndexTerm(task)
+		t.postIndexTerm(task)
 	case consolidateTask:
-		c.t.consolidate(task)
+		t.consolidate(task)
 	case rootShrinkTask:
-		c.t.shrinkRoot()
+		t.shrinkRoot()
 	}
 }
 
-func (c *completer) worker() {
-	defer c.wg.Done()
-	for {
-		task := c.pop(true)
-		if task == nil {
-			return
-		}
-		// Consolidation work is paced by the maintenance governor so
-		// merges never convoy foreground mutators; index-term posts run
-		// unpaced (they complete structure changes the foreground is
-		// already navigating around). Draining bypasses the pacer.
-		switch task.(type) {
-		case consolidateTask, rootShrinkTask:
-			if !c.draining.Load() {
-				c.t.opts.Governor.Admit(c.depth())
-			}
-		}
-		c.run(task)
+func (t *Tree) schedulePost(task postTask) {
+	if task.path == nil {
+		task.path = pitree.NewPath()
 	}
+	t.Stats.PostsScheduled.Add(1)
+	t.comp.Schedule(task.key(), task, false)
 }
 
-// drain processes or waits out every scheduled task. In SyncCompletion
-// mode the calling goroutine executes them; otherwise it waits for the
-// workers to go idle with an empty queue.
-func (c *completer) drain() {
-	if c.t.opts.SyncCompletion {
-		for {
-			task := c.pop(false)
-			if task == nil {
-				return
-			}
-			c.run(task)
-		}
-	}
-	c.mu.Lock()
-	for len(c.tasks) > 0 || c.active > 0 {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
+func (t *Tree) scheduleConsolidate(task consolidateTask) {
+	t.comp.Schedule(task.key(), task, true)
 }
 
-func (c *completer) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.tasks = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// closeDrain is the orderly shutdown: work off every pending completion
-// (including consolidations they escalate into), then stop the workers.
-// Unlike stop alone, nothing pending is discarded, so a close-then-reopen
-// never finds structure changes that were scheduled but silently dropped.
-func (c *completer) closeDrain() {
-	c.draining.Store(true)
-	c.drain()
-	c.stop()
+func (t *Tree) scheduleRootShrink() {
+	t.comp.Schedule(rootShrinkTask{}.key(), rootShrinkTask{}, true)
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -178,8 +176,7 @@ func decConsolidateMove(b []byte) (absorbed, pre *Node, err error) {
 // that logical (non-page-oriented) undo can re-traverse. One Binding
 // serves all Π-trees in an engine.
 type Binding struct {
-	mu           sync.RWMutex
-	trees        map[uint32]*Tree
+	trees        pitree.Bindings[*Tree]
 	pageOriented bool
 }
 
@@ -188,29 +185,9 @@ type Binding struct {
 func (b *Binding) PageOriented() bool { return b.pageOriented }
 
 // Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
+func (b *Binding) Bind(t *Tree) { b.trees.Bind(t.store.Pool.StoreID, t) }
 
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("core: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("core: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
+func nodeOf(f *storage.Frame) (*Node, error) { return pitree.NodeOf[*Node](f, "core") }
 
 // Register installs the Π-tree record kinds into reg. pageOriented selects
 // the record-undo discipline for data records (§4.2): when true, undo is
@@ -219,7 +196,7 @@ func nodeOf(f *storage.Frame) (*Node, error) {
 // undo re-traverses the tree, and all splits run as independent atomic
 // actions.
 func Register(reg *storage.Registry, pageOriented bool) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree), pageOriented: pageOriented}
+	b := &Binding{pageOriented: pageOriented}
 
 	reg.Register(KindFormatNode, storage.Handler{
 		Redo: func(f *storage.Frame, rec *wal.Record) error {
@@ -342,7 +319,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// need undoing against moved records, which is why this mode lets
 		// even data-node splits run outside the transaction (§6).
 		insertHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -353,7 +330,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return t.logicalUndoDelete(rec, k)
 		}
 		deleteHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -364,7 +341,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return t.logicalUndoInsert(rec, k, v)
 		}
 		updateHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 )
 
@@ -16,16 +17,16 @@ import (
 // duplicate schedulings harmless.
 func (t *Tree) postIndexTerm(task postTask) {
 	t.Stats.PostAttempts.Add(1)
-	err := t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	err := t.pi.Retry(func() error {
+		o := t.pi.NewOp(nil)
+		defer o.Done()
 
 		// Step 1 — Search: reach the U-latched NODE at LEVEL whose
 		// directly contained space includes KEY, exploiting the saved
 		// path where the invariant in force permits (§5.2).
 		node, err := t.searchToLevel(o, task)
 		if err != nil {
-			if errors.Is(err, errLevelGone) {
+			if errors.Is(err, pitree.ErrLevelGone) {
 				t.Stats.PostsObsolete.Add(1)
 				return nil
 			}
@@ -33,9 +34,9 @@ func (t *Tree) postIndexTerm(task postTask) {
 		}
 
 		// Step 2 — Verify Split: re-test the state.
-		if _, posted := node.n.search(task.sep); posted {
+		if _, posted := node.N.search(task.sep); posted {
 			t.Stats.PostsAlreadyDone.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 		termKey := keys.Clone(task.sep)
@@ -46,32 +47,32 @@ func (t *Tree) postIndexTerm(task postTask) {
 			// largest index term key below KEY and checking its sibling
 			// term (§5.3). The term actually posted is that sibling —
 			// possibly "a new ADDRESS".
-			e, ok := node.n.childFor(task.sep)
+			e, ok := node.N.childFor(task.sep)
 			if !ok {
 				t.Stats.PostsObsolete.Add(1)
-				o.release(&node)
+				o.Release(&node)
 				return nil
 			}
-			child, err := o.acquire(e.Child, latch.S, node.n.Level-1)
+			child, err := o.Acquire(e.Child, latch.S, node.N.Level-1)
 			if err != nil {
-				o.release(&node)
+				o.Release(&node)
 				return err
 			}
-			if child.n.Dead {
-				o.release(&child)
-				o.release(&node)
-				return errRetry
+			if child.N.Dead {
+				o.Release(&child)
+				o.Release(&node)
+				return pitree.ErrRetry
 			}
-			if child.n.DirectlyContains(task.sep) || child.n.Right == storage.NilPage {
+			if child.N.DirectlyContains(task.sep) || child.N.Right == storage.NilPage {
 				// The space containing KEY has been reabsorbed: the node
 				// whose index term was to be posted has been deleted.
 				t.Stats.PostsObsolete.Add(1)
-				o.release(&child)
-				o.release(&node)
+				o.Release(&child)
+				o.Release(&node)
 				return nil
 			}
-			termKey = keys.Clone(child.n.High.Key)
-			termChild = child.n.Right
+			termKey = keys.Clone(child.N.High.Key)
+			termChild = child.N.Right
 			// Test the move lock while the child is still latched: a
 			// transaction whose split made termChild holds it move-locked
 			// until it ends, and its abort must latch the child to undo the
@@ -80,14 +81,14 @@ func (t *Tree) postIndexTerm(task postTask) {
 			// this action would post a term to the freed page.
 			if t.binding.PageOriented() && t.lm.MoveLocked(t.pageLockName(termChild)) {
 				t.Stats.PostsSuppressedMV.Add(1)
-				o.release(&child)
-				o.release(&node)
+				o.Release(&child)
+				o.Release(&node)
 				return nil
 			}
-			o.release(&child)
-			if _, posted := node.n.search(termKey); posted {
+			o.Release(&child)
+			if _, posted := node.N.search(termKey); posted {
 				t.Stats.PostsAlreadyDone.Add(1)
-				o.release(&node)
+				o.Release(&node)
 				return nil
 			}
 		}
@@ -97,7 +98,7 @@ func (t *Tree) postIndexTerm(task postTask) {
 		// a crash-recovered queue entry or stale task could.)
 		if t.binding.PageOriented() && t.lm.MoveLocked(t.pageLockName(termChild)) {
 			t.Stats.PostsSuppressedMV.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 
@@ -110,76 +111,57 @@ func (t *Tree) postIndexTerm(task postTask) {
 		// Follow-up postings for splits performed inside this action are
 		// likewise queued only after it commits.
 		aa := t.tm.BeginAtomicAction()
+		act := o.Begin(aa, &node)
 		var followUps []postTask
-		var held []nref
-		releaseAll := func() {
-			o.release(&node)
-			for i := len(held) - 1; i >= 0; i-- {
-				o.release(&held[i])
-			}
-			held = nil
-		}
-		o.promote(&node)
 
 		// Step 3 — Space Test.
-		for len(node.n.Entries) >= t.opts.IndexCapacity {
+		for len(node.N.Entries) >= t.opts.IndexCapacity {
 			sep2, newPid2, err := t.splitNode(o, &node, aa)
 			if err != nil {
-				releaseAll()
-				_ = aa.Abort()
-				return err
+				return act.Abort(err)
 			}
 			if newPid2 == storage.NilPage {
 				// The root grew in place; NODE's old contents are now one
 				// level down. Descend to whichever new node directly
 				// contains KEY and repeat the space test there.
-				childEntry, ok := node.n.childFor(termKey)
+				childEntry, ok := node.N.childFor(termKey)
 				if !ok {
-					releaseAll()
-					_ = aa.Abort()
-					return errRetry
+					return act.Abort(pitree.ErrRetry)
 				}
-				next, err := o.acquire(childEntry.Child, latch.X, node.n.Level-1)
+				next, err := o.Acquire(childEntry.Child, latch.X, node.N.Level-1)
 				if err != nil {
-					releaseAll()
-					_ = aa.Abort()
-					return err
+					return act.Abort(err)
 				}
-				held = append(held, node)
-				node = next
+				act.MoveTo(next)
 				continue
 			}
 			// Regular split: keep the half that directly contains KEY,
 			// and queue the posting of this split one level up.
 			followUps = append(followUps, postTask{
-				level:  node.n.Level + 1,
+				level:  node.N.Level + 1,
 				sep:    keys.Clone(sep2),
 				newPid: newPid2,
-				path:   task.path.clone(),
+				path:   task.path.Clone(),
 			})
-			if !node.n.DirectlyContains(termKey) {
-				next, err := o.acquire(node.n.Right, latch.X, node.n.Level)
+			if !node.N.DirectlyContains(termKey) {
+				next, err := o.Acquire(node.N.Right, latch.X, node.N.Level)
 				if err != nil {
-					releaseAll()
-					_ = aa.Abort()
-					return err
+					return act.Abort(err)
 				}
-				held = append(held, node)
-				node = next
+				act.MoveTo(next)
 			}
 		}
 
 		// Step 4 — Update NODE, commit, and only then release latches.
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindPostIndexTerm, encTerm(termKey, termChild))
-		node.n.insertEntry(Entry{Key: termKey, Child: termChild})
-		node.f.MarkDirty(lsn)
-		err = aa.Commit()
-		releaseAll()
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.PID()), KindPostIndexTerm, encTerm(termKey, termChild))
+		node.N.insertEntry(Entry{Key: termKey, Child: termChild})
+		node.F.MarkDirty(lsn)
+		err = act.Commit()
 		if err != nil {
 			return err
 		}
 		for _, fu := range followUps {
-			t.comp.schedulePost(fu)
+			t.schedulePost(fu)
 		}
 		t.Stats.PostsPerformed.Add(1)
 		return nil
@@ -203,29 +185,29 @@ func (t *Tree) postIndexTerm(task postTask) {
 //     remembered node cannot be proven allocated, so re-traversals start
 //     at the root, which never moves and is never de-allocated.
 func (t *Tree) searchToLevel(o *opCtx, task postTask) (nref, error) {
-	if pe, ok := task.path.get(task.level); ok && (!t.opts.Consolidation || t.opts.DeallocIsUpdate) {
-		r, err := o.acquire(pe.pid, latch.U, task.level)
+	if pe, ok := task.path.Get(task.level); ok && (!t.opts.Consolidation || t.opts.DeallocIsUpdate) {
+		r, err := o.Acquire(pe.PID, latch.U, task.level)
 		if err == nil {
-			trusted := r.n.Level == task.level &&
-				(r.n.Low == nil || keys.Compare(task.sep, r.n.Low) >= 0)
+			trusted := r.N.Level == task.level &&
+				(r.N.Low == nil || keys.Compare(task.sep, r.N.Low) >= 0)
 			if t.opts.Consolidation {
 				// Strategy (b): unchanged state id proves the node is
 				// still allocated and exactly as remembered.
-				trusted = trusted && r.f.PageLSN() == pe.lsn && !r.n.Dead
+				trusted = trusted && r.F.PageLSN() == pe.LSN && !r.N.Dead
 			}
 			if trusted {
-				if r.f.PageLSN() == pe.lsn {
+				if r.F.PageLSN() == pe.LSN {
 					t.Stats.PathVerifyHits.Add(1)
 				} else {
 					t.Stats.PathVerifyMisses.Add(1)
 				}
-				for !r.n.DirectlyContains(task.sep) {
-					if r.n.Right == storage.NilPage {
-						o.release(&r)
-						return nref{}, errRetry
+				for !r.N.DirectlyContains(task.sep) {
+					if r.N.Right == storage.NilPage {
+						o.Release(&r)
+						return nref{}, pitree.ErrRetry
 					}
 					t.Stats.SideTraversals.Add(1)
-					next, err := t.step(o, &r, r.n.Right, latch.U, task.level)
+					next, err := o.Step(&r, r.N.Right, latch.U, task.level)
 					if err != nil {
 						return nref{}, err
 					}
@@ -233,9 +215,9 @@ func (t *Tree) searchToLevel(o *opCtx, task postTask) (nref, error) {
 				}
 				return r, nil
 			}
-			o.release(&r)
+			o.Release(&r)
 		}
 		t.Stats.PathVerifyMisses.Add(1)
 	}
-	return t.descendTo(o, task.sep, task.level, latch.U, false, nil)
+	return t.pi.Descend(o, task.sep, task.level, latch.U, false, nil)
 }

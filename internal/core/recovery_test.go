@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -250,7 +251,7 @@ func collectUnpostedSiblings(t *testing.T, tree *Tree) []postTask {
 				level:  1,
 				sep:    keys.Clone(n.High.Key),
 				newPid: n.Right,
-				path:   newPath(),
+				path:   pitree.NewPath(),
 			})
 		}
 		pid = n.Right
@@ -263,7 +264,7 @@ func collectUnpostedSiblings(t *testing.T, tree *Tree) []postTask {
 // (quiescent test helper).
 func (t *Tree) leftmostOfLevel(tb testing.TB, level int) storage.PageID {
 	pool := t.store.Pool
-	cur := t.root
+	cur := t.pi.Root
 	for {
 		f, err := pool.Fetch(cur)
 		if err != nil {

@@ -35,39 +35,26 @@ type TreeShape struct {
 //  6. a root exists that is responsible for the entire space.
 func (t *Tree) Verify() (TreeShape, error) {
 	var shape TreeShape
-	pool := t.store.Pool
 
 	// Every page the walk touches is reachable; the set feeds the store's
 	// free-space cross-check at the end (no page both free and reachable).
 	reachable := make(map[storage.PageID]bool)
-	getNode := func(pid storage.PageID) (*Node, error) {
-		f, err := pool.Fetch(pid)
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Unpin(f)
-		n, ok := f.Data.(*Node)
-		if !ok {
-			return nil, fmt.Errorf("page %d holds %T, not a node", pid, f.Data)
-		}
-		reachable[pid] = true
-		return n, nil
-	}
+	getNode := func(pid storage.PageID) (*Node, error) { return t.pi.Peek(pid, reachable) }
 
-	root, err := getNode(t.root)
+	root, err := getNode(t.pi.Root)
 	if err != nil {
 		return shape, fmt.Errorf("core verify: root: %w", err)
 	}
 	if root.Low != nil || !root.High.Unbounded || root.Right != storage.NilPage {
-		return shape, fmt.Errorf("core verify: root %d not responsible for the entire space: %v", t.root, root)
+		return shape, fmt.Errorf("core verify: root %d not responsible for the entire space: %v", t.pi.Root, root)
 	}
 	if root.Dead {
-		return shape, fmt.Errorf("core verify: root %d marked dead", t.root)
+		return shape, fmt.Errorf("core verify: root %d marked dead", t.pi.Root)
 	}
 	shape.Height = root.Level + 1
 	shape.NodesAtLevel = make([]int, root.Level+1)
 
-	leftmost := t.root
+	leftmost := t.pi.Root
 	for level := root.Level; level >= 0; level-- {
 		first, err := getNode(leftmost)
 		if err != nil {

@@ -25,6 +25,8 @@ type bgWriter struct {
 	flushed  atomic.Int64
 	ticks    atomic.Int64
 	rearmed  atomic.Int64 // pages whose batched flush failed and were requeued
+	failures atomic.Int64 // batches whose flush returned an error
+	lastErr  atomic.Pointer[error]
 	done     chan struct{}
 	stopped  chan struct{}
 }
@@ -134,10 +136,14 @@ func (w *bgWriter) tick() {
 		// round. (They stay in the pool's dirty table, so the next tick's
 		// DirtyPages sweep re-collects them — or gives up for good once
 		// the engine is degraded.)
-		flushed, failed, _ := b.pool.FlushBatch(b.pids)
+		flushed, failed, err := b.pool.FlushBatch(b.pids)
 		w.flushed.Add(int64(flushed))
 		if len(failed) > 0 {
 			w.rearmed.Add(int64(len(failed)))
+		}
+		if err != nil {
+			w.failures.Add(1)
+			w.lastErr.Store(&err)
 		}
 	}
 }
@@ -149,4 +155,19 @@ func (e *Engine) WriteBackStats() (flushed, ticks int64) {
 		return 0, 0
 	}
 	return e.bg.stats()
+}
+
+// WriteBackErrors returns how many of the background writer's flush
+// batches failed and the last failure's error (zero and nil when none
+// failed or the writer is disabled). A failed page stays dirty and is
+// retried on a later tick, so a non-zero count with a clean dirty table
+// means the failures were transient.
+func (e *Engine) WriteBackErrors() (failures int64, last error) {
+	if e.bg == nil {
+		return 0, nil
+	}
+	if p := e.bg.lastErr.Load(); p != nil {
+		last = *p
+	}
+	return e.bg.failures.Load(), last
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/storage"
@@ -162,5 +163,64 @@ func TestPermanentSyncFaultRejectsAndRollsBackCommits(t *testing.T) {
 			}
 			st2.Pool.Unpin(f)
 		}
+	}
+}
+
+// TestWriteBackErrorsCounted injects disk-write faults under the
+// background writer: every failed flush batch must be counted with its
+// error kept, and once the fault clears the writer must still drain the
+// dirty pages it could not write.
+func TestWriteBackErrorsCounted(t *testing.T) {
+	inj := fault.New(5)
+	e, _, err := Open(Options{DataDir: t.TempDir(), Injector: inj, WriteBackInterval: time.Millisecond, WriteBackBatch: 4})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	registerSet(e.Reg)
+	st := e.AddStore(1, byteCodec{})
+	aa := e.TM.BeginAtomicAction()
+	if err := st.Bootstrap(aa); err != nil {
+		t.Fatal(err)
+	}
+	if err := aa.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.WriteBackErrors(); n != 0 || err != nil {
+		t.Fatalf("fresh engine reports write-back errors: %d, %v", n, err)
+	}
+	// Every write fails (each flush exhausts its transient retries) until
+	// the point is disarmed.
+	inj.Arm(storage.FPDiskWrite, fault.Spec{Kind: fault.Transient, Count: -1})
+	for i := 0; i < 8; i++ {
+		if err := commitOne(t, e, st, storage.PageID(10+i), "w"); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, err := e.WriteBackErrors()
+		if n >= 2 {
+			if !fault.IsTransient(err) {
+				t.Fatalf("last write-back error %v, want the injected transient fault", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("write-back failures not counted: %d, %v", n, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.Disarm(storage.FPDiskWrite)
+	for len(st.Pool.DirtyPages()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("writer left %d dirty pages after the fault cleared", len(st.Pool.DirtyPages()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if flushed, _ := e.WriteBackStats(); flushed == 0 {
+		t.Fatal("writer flushed nothing after the fault cleared")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }

@@ -1,10 +1,8 @@
 package spatial
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -235,40 +233,19 @@ func splitHelps(pre *Node, alongX bool, coord uint64) bool {
 
 // Binding connects record kinds to live trees for logical undo.
 type Binding struct {
-	mu    sync.RWMutex
-	trees map[uint32]*Tree
+	trees pitree.Bindings[*Tree]
 }
 
 // Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
+func (b *Binding) Bind(t *Tree) { b.trees.Bind(t.store.Pool.StoreID, t) }
 
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("spatial: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("spatial: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
+func nodeOf(f *storage.Frame) (*Node, error) { return pitree.NodeOf[*Node](f, "spatial") }
 
 // Register installs the spatial record kinds. Point undo is logical
 // (re-traversal), so every structure change is an independent atomic
 // action.
 func Register(reg *storage.Registry) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree)}
+	b := &Binding{}
 
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestore, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
@@ -329,7 +306,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		},
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -354,7 +331,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		},
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}

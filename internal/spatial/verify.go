@@ -25,22 +25,16 @@ type Shape struct {
 //     (direct region plus delegations) contains the term's rectangle.
 func (t *Tree) Verify() (Shape, error) {
 	var shape Shape
-	pool := t.store.Pool
 
 	getNode := func(pid storage.PageID) (*Node, error) {
-		f, err := pool.Fetch(pid)
+		n, err := t.pi.Peek(pid, nil)
 		if err != nil {
 			return nil, err
-		}
-		defer pool.Unpin(f)
-		n, ok := f.Data.(*Node)
-		if !ok {
-			return nil, fmt.Errorf("page %d holds %T", pid, f.Data)
 		}
 		return n.clone(), nil
 	}
 
-	root, err := getNode(t.root)
+	root, err := getNode(t.pi.Root)
 	if err != nil {
 		return shape, fmt.Errorf("spatial verify: root: %w", err)
 	}
@@ -52,8 +46,8 @@ func (t *Tree) Verify() (Shape, error) {
 		pid   storage.PageID
 		level int
 	}
-	seen := map[storage.PageID]bool{t.root: true}
-	queue := []item{{t.root, root.Level}}
+	seen := map[storage.PageID]bool{t.pi.Root: true}
+	queue := []item{{t.pi.Root, root.Level}}
 	var dataRects []Rect
 	var dataPids []storage.PageID
 

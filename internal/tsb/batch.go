@@ -2,11 +2,11 @@ package tsb
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
+	"repro/internal/pitree"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -18,82 +18,6 @@ import (
 const FPBatchApply = "core.batchapply"
 
 var errBatchArgs = errors.New("tsb: batch argument slices have different lengths")
-
-// batchScratch mirrors the core tree's pooled per-batch working storage.
-type batchScratch struct {
-	idx   []int
-	names []lock.Name
-	ups   []txn.GroupUpdate
-}
-
-var batchScratchPool sync.Pool
-
-func takeBatchScratch(n int) *batchScratch {
-	sc, _ := batchScratchPool.Get().(*batchScratch)
-	if sc == nil {
-		sc = new(batchScratch)
-	}
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	sc.idx = sc.idx[:n]
-	for i := range sc.idx {
-		sc.idx[i] = i
-	}
-	return sc
-}
-
-func putBatchScratch(sc *batchScratch) {
-	for i := range sc.ups {
-		sc.ups[i] = txn.GroupUpdate{}
-	}
-	sc.ups = sc.ups[:0]
-	batchScratchPool.Put(sc)
-}
-
-// sortIdx sorts the index permutation by key (insertion sort; batches are
-// modest and this keeps the read path allocation-free).
-func sortIdx(idx []int, ks []keys.Key) {
-	for i := 1; i < len(idx); i++ {
-		j := i
-		for j > 0 && keys.Compare(ks[idx[j-1]], ks[idx[j]]) > 0 {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-			j--
-		}
-	}
-}
-
-// runEnd extends a run starting at pos over every following batch key the
-// current leaf's key range contains.
-func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
-	end := pos + 1
-	for end < len(idx) && leaf.n.Rect.ContainsKey(ks[idx[end]]) {
-		end++
-	}
-	return end
-}
-
-// lockRun takes a run's record locks in one lock-manager interaction,
-// with the usual No-Wait dance on conflict (see the core tree's lockRun).
-func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batchScratch, mode lock.Mode) error {
-	if o.txn == nil {
-		return nil
-	}
-	names := sc.names[:0]
-	for _, i := range run {
-		names = append(names, t.recLockName(ks[i]))
-	}
-	sc.names = names
-	fail := o.txn.TryLockBatch(names, mode)
-	if fail < 0 {
-		return nil
-	}
-	o.release(leaf)
-	if err := o.txn.Lock(names[fail], mode); err != nil {
-		return err
-	}
-	return errRetry
-}
 
 // MultiPut writes a new version of every ks[i] with vals[i], grouped into
 // leaf-runs: one descent, one latch hold, one lock-manager interaction,
@@ -115,49 +39,37 @@ func (t *Tree) MultiDelete(tx *txn.Txn, ks []keys.Key) error {
 }
 
 func (t *Tree) batchPut(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool) error {
-	if len(ks) == 0 {
-		return nil
-	}
-	sc := takeBatchScratch(len(ks))
-	defer putBatchScratch(sc)
-	sortIdx(sc.idx, ks)
-	pos := 0
-	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			return t.putRun(tx, ks, vals, deleted, sc, &pos)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.pi.EachRun(ks, func(sc *pitree.Batch, pos *int) error {
+		return t.putRun(tx, ks, vals, deleted, sc, pos)
+	})
 }
 
 // putRun applies one leaf-run of a batched put; see the core tree's
 // mutateRun for the shape. The run stops early when the leaf fills; the
 // remainder re-descends and splits first.
-func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, sc *batchScratch, pos *int) error {
-	o := t.newOp(tx)
-	defer o.done()
-	leaf, err := t.descend(o, ks[sc.idx[*pos]], NoEnd-1, 0, latch.U, true)
+func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, sc *pitree.Batch, pos *int) error {
+	o := t.pi.NewOp(tx)
+	defer o.Done()
+	leaf, err := t.descend(o, ks[sc.Idx[*pos]], NoEnd-1, 0, latch.U, true)
 	if err != nil {
 		return err
 	}
-	if !leaf.n.Current() {
-		o.release(&leaf)
-		return errRetry
+	if !leaf.N.Current() {
+		o.Release(&leaf)
+		return pitree.ErrRetry
 	}
-	end := runEnd(&leaf, ks, sc.idx, *pos)
-	run := sc.idx[*pos:end]
+	end := sc.RunEnd(ks, *pos, leaf.N.Rect.ContainsKey)
+	run := sc.Idx[*pos:end]
 
-	if err := t.lockRun(o, &leaf, ks, run, sc, lock.X); err != nil {
+	if err := o.LockRun(&leaf, sc, t.lockSpace, ks, run, lock.X); err != nil {
 		return err
 	}
 
-	if len(leaf.n.Entries) >= t.opts.DataCapacity {
+	if len(leaf.N.Entries) >= t.opts.DataCapacity {
 		if err := t.splitData(o, &leaf); err != nil {
 			return err
 		}
-		return errRetry
+		return pitree.ErrRetry
 	}
 
 	lg := tx
@@ -170,19 +82,19 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 		if tx == nil {
 			_ = lg.Abort()
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return err
 	}
 
-	o.promote(&leaf)
+	o.Promote(&leaf)
 	var writer wal.TxnID
 	if tx != nil {
 		writer = tx.ID
 	}
-	ups := sc.ups[:0]
+	ups := sc.Ups[:0]
 	applied := 0
 	for _, i := range run {
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			break // leaf filled mid-run; the rest re-descends and splits
 		}
 		var value []byte
@@ -191,28 +103,21 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 		}
 		e := Entry{Key: keys.Clone(ks[i]), Start: t.tick(), Value: append([]byte(nil), value...), Deleted: deleted, Txn: writer}
 		ups = append(ups, txn.GroupUpdate{Kind: KindPut, Payload: encPut(e)})
-		leaf.n.insertVersion(e)
+		leaf.N.insertVersion(e)
 		t.Stats.Puts.Add(1)
 		applied++
 	}
-	sc.ups = ups
-	if len(ups) > 0 {
-		first, last := lg.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.pid()), ups)
-		// Both marks matter: the first publishes recLSN covering the whole
-		// run if the page was clean, the second advances pageLSN to the
-		// run's last record.
-		leaf.f.MarkDirty(first)
-		leaf.f.MarkDirty(last)
-	}
+	sc.Ups = ups
+	o.LogRun(lg, &leaf, ups)
 	t.Stats.BatchOps.Add(1)
 	t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
 	if tx == nil {
 		if cerr := lg.Commit(); cerr != nil {
-			o.release(&leaf)
+			o.Release(&leaf)
 			return cerr
 		}
 	}
-	o.release(&leaf)
+	o.Release(&leaf)
 	*pos += applied
 	return nil
 }
@@ -226,44 +131,32 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 	if len(vals) != len(ks) || len(found) != len(ks) {
 		return errBatchArgs
 	}
-	if len(ks) == 0 {
-		return nil
-	}
 	t.Stats.Gets.Add(int64(len(ks)))
-	sc := takeBatchScratch(len(ks))
-	defer putBatchScratch(sc)
-	sortIdx(sc.idx, ks)
-	pos := 0
-	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			o := t.newOp(tx)
-			defer o.done()
-			leaf, err := t.descend(o, ks[sc.idx[pos]], NoEnd-1, 0, latch.S, true)
-			if err != nil {
-				return err
-			}
-			end := runEnd(&leaf, ks, sc.idx, pos)
-			run := sc.idx[pos:end]
-			if err := t.lockRun(o, &leaf, ks, run, sc, lock.S); err != nil {
-				return err
-			}
-			now := t.Now()
-			for _, i := range run {
-				if j, ok := leaf.n.searchVersion(ks[i], now); ok && !leaf.n.Entries[j].Deleted {
-					vals[i] = append(vals[i][:0], leaf.n.Entries[j].Value...)
-					found[i] = true
-				} else {
-					found[i] = false
-				}
-			}
-			o.release(&leaf)
-			t.Stats.BatchOps.Add(1)
-			t.Stats.LeafVisitsSaved.Add(int64(len(run) - 1))
-			pos = end
-			return nil
-		}); err != nil {
+	return t.pi.EachRun(ks, func(sc *pitree.Batch, pos *int) error {
+		o := t.pi.NewOp(tx)
+		defer o.Done()
+		leaf, err := t.descend(o, ks[sc.Idx[*pos]], NoEnd-1, 0, latch.S, true)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		end := sc.RunEnd(ks, *pos, leaf.N.Rect.ContainsKey)
+		run := sc.Idx[*pos:end]
+		if err := o.LockRun(&leaf, sc, t.lockSpace, ks, run, lock.S); err != nil {
+			return err
+		}
+		now := t.Now()
+		for _, i := range run {
+			if j, ok := leaf.N.searchVersion(ks[i], now); ok && !leaf.N.Entries[j].Deleted {
+				vals[i] = append(vals[i][:0], leaf.N.Entries[j].Value...)
+				found[i] = true
+			} else {
+				found[i] = false
+			}
+		}
+		o.Release(&leaf)
+		t.Stats.BatchOps.Add(1)
+		t.Stats.LeafVisitsSaved.Add(int64(len(run) - 1))
+		*pos = end
+		return nil
+	})
 }

@@ -1,11 +1,9 @@
 package tsb
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -321,41 +319,20 @@ func indexSiblingEntries(pre *Node, k keys.Key) (entries []Entry, clipped int) {
 
 // Binding connects record kinds to live trees for logical undo.
 type Binding struct {
-	mu    sync.RWMutex
-	trees map[uint32]*Tree
+	trees pitree.Bindings[*Tree]
 }
 
 // Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
+func (b *Binding) Bind(t *Tree) { b.trees.Bind(t.store.Pool.StoreID, t) }
 
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("tsb: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("tsb: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
+func nodeOf(f *storage.Frame) (*Node, error) { return pitree.NodeOf[*Node](f, "tsb") }
 
 // Register installs the TSB record kinds into reg. Record undo is always
 // logical for the TSB tree — re-traversal by (key, start) — so structure
 // changes are never constrained by record undo and all splits run as
 // independent atomic actions (the paper's preferred regime, §6).
 func Register(reg *storage.Registry) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree)}
+	b := &Binding{}
 
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
@@ -458,7 +435,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		},
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.trees.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}

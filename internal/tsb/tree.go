@@ -10,6 +10,7 @@ import (
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -58,26 +59,12 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.DataCapacity < 4 {
-		if o.DataCapacity <= 0 {
-			o.DataCapacity = 64
-		} else {
-			o.DataCapacity = 4
-		}
-	}
-	if o.IndexCapacity < 4 {
-		if o.IndexCapacity <= 0 {
-			o.IndexCapacity = 64
-		} else {
-			o.IndexCapacity = 4
-		}
-	}
+	o.DataCapacity = pitree.Capacity(o.DataCapacity)
+	o.IndexCapacity = pitree.Capacity(o.IndexCapacity)
 	if o.CurrentFraction <= 0 || o.CurrentFraction > 1 {
 		o.CurrentFraction = 0.67
 	}
-	if o.CompletionWorkers <= 0 {
-		o.CompletionWorkers = 2
-	}
+	o.CompletionWorkers = pitree.Workers(o.CompletionWorkers)
 	return o
 }
 
@@ -139,7 +126,9 @@ type Stats struct {
 
 // Tree is one TSB tree. Because historical nodes never split and no node
 // is ever consolidated, the CNS invariant (§5.2.1) holds: traversals hold
-// one latch at a time and saved state is trusted.
+// one latch at a time and saved state is trusted. Options.Reclaim is the
+// exception: it frees retired history pages, which makes the tree mortal
+// (see internal/pitree), so traversals latch-couple.
 type Tree struct {
 	Name string
 
@@ -151,10 +140,11 @@ type Tree struct {
 	lm      *lock.Manager
 	binding *Binding
 	opts    Options
-	root    storage.PageID
 	comp    *completer
-	clock   atomic.Uint64
-	opPool  sync.Pool
+	// pi is the tree's instance of the shared Π-tree protocol: latch
+	// contexts, descents and the cached root frame.
+	pi    *pitree.Tree[*Node, target]
+	clock atomic.Uint64
 	// gcMu serializes GC passes: two concurrent passes over one chain
 	// would race to retire the same victim, and the loser's atomic-action
 	// abort would re-post index terms the winner removed. Page reclamation
@@ -167,74 +157,24 @@ type Tree struct {
 	// unrelated node — so postTerm consults this set first.
 	deadPages sync.Map
 
-	// rootf caches the root's buffer frame with one permanent pin (the
-	// root page ID is fixed and the root is never de-allocated); see the
-	// core package's rootFrame.
-	rootf atomic.Pointer[storage.Frame]
-
 	Stats Stats
 }
 
 // ErrKeyNotFound reports a missing (or deleted-as-of) key.
 var ErrKeyNotFound = errors.New("tsb: key not found")
 
-var errRetry = errors.New("tsb: internal retry")
-
-// errLevelGone reports a descent target level above the current root; the
-// posting that wanted it is obsolete until the root grows, and side
-// traversals will reschedule it.
-var errLevelGone = errors.New("tsb: target level does not exist yet")
-
 // Create builds a new TSB tree: a level-1 index root over one data node
 // covering all keys at all times. One atomic action.
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
-	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
-	aa := tm.BeginAtomicAction()
-	o := t.newOp(nil)
-
-	if f, err := store.Pool.Fetch(storage.MetaPage); err == nil {
-		store.Pool.Unpin(f)
-	} else if errors.Is(err, storage.ErrPageNotFound) {
-		if err := store.Bootstrap(aa); err != nil {
-			return nil, err
+	t := newTree(store, tm, lm, b, name, opts, storage.NilPage)
+	if err := t.pi.Create(tm, store, name, 2, KindFormat, encNodeImage, func(pids []storage.PageID) []*Node {
+		return []*Node{
+			{Level: 1, Rect: EntireRect(), Entries: []Entry{{Child: pids[1], ChildRect: EntireRect()}}},
+			{Level: 0, Rect: EntireRect()},
 		}
-	} else {
+	}); err != nil {
 		return nil, err
 	}
-
-	rootPid, err := store.Alloc(aa, &o.tr)
-	if err != nil {
-		return nil, err
-	}
-	dataPid, err := store.Alloc(aa, &o.tr)
-	if err != nil {
-		return nil, err
-	}
-
-	data := &Node{Level: 0, Rect: EntireRect()}
-	root := &Node{Level: 1, Rect: EntireRect(), Entries: []Entry{{Child: dataPid, ChildRect: EntireRect()}}}
-	for _, nn := range []struct {
-		pid  storage.PageID
-		node *Node
-	}{{dataPid, data}, {rootPid, root}} {
-		f, err := store.Pool.Create(nn.pid)
-		if err != nil {
-			return nil, err
-		}
-		f.Latch.AcquireX()
-		lsn := aa.LogUpdate(store.Pool.StoreID, uint64(nn.pid), KindFormat, encNodeImage(nn.node))
-		f.Data = nn.node
-		f.MarkDirty(lsn)
-		f.Latch.ReleaseX()
-		store.Pool.Unpin(f)
-	}
-	if err := store.SetRoot(aa, &o.tr, name, rootPid); err != nil {
-		return nil, err
-	}
-	if err := aa.Commit(); err != nil {
-		return nil, err
-	}
-	t.root = rootPid
 	t.comp = newCompleter(t)
 	b.Bind(t)
 	tm.SetVersionClock(t.Now, t.tick)
@@ -256,7 +196,7 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized(), root: rootPid}
+	t := newTree(store, tm, lm, b, name, opts, rootPid)
 	t.clock.Store(tm.RecoveredClockHW())
 	t.comp = newCompleter(t)
 	b.Bind(t)
@@ -264,37 +204,38 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 	return t, nil
 }
 
+// newTree builds the tree's in-memory state around root.
+func newTree(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options, root storage.PageID) *Tree {
+	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
+	t.pi = &pitree.Tree[*Node, target]{
+		Space:           space{t},
+		Pool:            store.Pool,
+		Root:            root,
+		Name:            "tsb",
+		Mortal:          t.opts.Reclaim,
+		Pessimistic:     t.opts.PessimisticDescent,
+		CheckLatchOrder: t.opts.CheckLatchOrder,
+		Counters: pitree.Counters{
+			OptHits:      &t.Stats.OptimisticHits,
+			OptRetries:   &t.Stats.OptimisticRetries,
+			OptFallbacks: &t.Stats.OptimisticFallbacks,
+			Restarts:     &t.Stats.Restarts,
+		},
+	}
+	return t
+}
+
 // Close drains every scheduled completion to commit (postings, GC
 // sweeps, reclamation), stops the workers, and drops the cached root pin.
 // Draining first means a close-then-reopen never recovers against a
 // structure change that was scheduled but silently dropped.
 func (t *Tree) Close() {
-	t.comp.closeDrain()
-	if f := t.rootf.Swap(nil); f != nil {
-		t.store.Pool.Unpin(f)
-	}
-}
-
-// rootFrame returns the root's frame pinned for the caller via the cache
-// in t.rootf; the first call keeps one extra permanent pin.
-func (t *Tree) rootFrame() (*storage.Frame, error) {
-	if f := t.rootf.Load(); f != nil {
-		f.Pin()
-		return f, nil
-	}
-	f, err := t.store.Pool.Fetch(t.root)
-	if err != nil {
-		return nil, err
-	}
-	if !t.rootf.CompareAndSwap(nil, f) {
-		return f, nil // lost the cache race; our fetch pin is the caller's
-	}
-	f.Pin()
-	return f, nil
+	t.comp.CloseDrain()
+	t.pi.Close()
 }
 
 // DrainCompletions blocks until all scheduled completing actions ran.
-func (t *Tree) DrainCompletions() { t.comp.drain() }
+func (t *Tree) DrainCompletions() { t.comp.Drain() }
 
 // Now returns the tree's current logical time; versions written later get
 // strictly larger timestamps.
@@ -308,464 +249,78 @@ func (t *Tree) Options() Options { return t.opts }
 
 func (t *Tree) recLockName(k keys.Key) lock.Name { return lock.KeyName(t.lockSpace, k) }
 
-// --- operation context (CNS: one latch at a time) ---------------------------
+// --- the node space ----------------------------------------------------------
 
-type opCtx struct {
-	t   *Tree
-	txn *txn.Txn
-	tr  latch.Tracker
-	seq uint64
+// Operation contexts and latched references are the shared protocol's
+// (see internal/pitree).
+type (
+	opCtx = pitree.Op[*Node, target]
+	nref  = pitree.Ref[*Node]
+)
+
+// target is a TSB search target: a key as of a time.
+type target struct {
+	key  keys.Key
+	time uint64
 }
 
-// newOp checks out a pooled operation context; done returns it. Pooling
-// keeps the tracker's hold slice (and the context itself) off the
-// per-operation allocation path.
-func (t *Tree) newOp(tx *txn.Txn) *opCtx {
-	o, _ := t.opPool.Get().(*opCtx)
-	if o == nil {
-		o = new(opCtx)
+// space is the TSB node space: a node directly contains a key range over
+// a time range, delegates higher keys to its key sibling and, at the data
+// level, earlier times to its history sibling. Index nodes span all time.
+type space struct{ t *Tree }
+
+func (space) Level(n *Node) int   { return n.Level }
+func (space) Dead(*Node) bool     { return false }
+func (space) Clone(n *Node) *Node { return n.clone() }
+
+func (space) Route(n *Node, k target, down bool) (pitree.Step, storage.PageID) {
+	if !n.Rect.ContainsKey(k.key) {
+		if n.KeySib == storage.NilPage || (n.Rect.KeyLow != nil && keys.Compare(k.key, n.Rect.KeyLow) < 0) {
+			return pitree.Retry, storage.NilPage
+		}
+		return pitree.Sibling, n.KeySib
 	}
-	o.t = t
-	o.txn = tx
-	o.seq = 0
-	o.tr.Reset(t.opts.CheckLatchOrder)
-	return o
-}
-
-func (o *opCtx) done() {
-	o.tr.AssertNoneHeld()
-	o.txn = nil
-	o.t.opPool.Put(o)
-}
-
-const maxLevel = 63
-
-func (o *opCtx) rank(level int) latch.Rank {
-	o.seq++
-	return latch.Rank(uint64(maxLevel-level)<<40 | (o.seq & (1<<40 - 1)))
-}
-
-type nref struct {
-	f    *storage.Frame
-	n    *Node
-	mode latch.Mode
-}
-
-func (r *nref) pid() storage.PageID { return r.f.ID }
-
-func (o *opCtx) acquire(pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	f, err := o.t.store.Pool.Fetch(pid)
-	if err != nil {
-		return nref{}, err
+	// A history node's key range can be wider than the search path
+	// suggests; keys stay inside by construction. With no history before
+	// the tree existed, the walk lands on the oldest node.
+	if n.IsData() && k.time < n.Rect.TimeLow && n.HistSib != storage.NilPage {
+		return pitree.Sibling, n.HistSib
 	}
-	f.Latch.Acquire(mode)
-	o.tr.Acquired(&f.Latch, o.rank(level), mode)
-	n, ok := f.Data.(*Node)
+	if !down {
+		return pitree.Here, storage.NilPage
+	}
+	var e Entry
+	ok := false
+	if n.Level == 1 {
+		e, ok = n.chooseTerm(k.key, k.time)
+	} else {
+		e, ok = n.keyChildFor(k.key)
+	}
 	if !ok {
-		o.tr.Released(&f.Latch)
-		f.Latch.Release(mode)
-		o.t.store.Pool.Unpin(f)
-		return nref{}, fmt.Errorf("tsb: page %d holds %T, not a node", pid, f.Data)
+		return pitree.Retry, storage.NilPage
 	}
-	return nref{f: f, n: n, mode: mode}, nil
+	return pitree.Child, e.Child
 }
 
-func (o *opCtx) release(r *nref) {
-	if r.f == nil {
+func (s space) Crossed(n *Node, pid storage.PageID, k target, _ *pitree.Path, sched bool) {
+	if !n.Rect.ContainsKey(k.key) {
+		s.t.Stats.KeySibWalks.Add(1)
+		if sched {
+			s.t.noteKeySibling(n, pid)
+		}
 		return
 	}
-	o.tr.Released(&r.f.Latch)
-	r.f.Latch.Release(r.mode)
-	o.t.store.Pool.Unpin(r.f)
-	r.f = nil
-	r.n = nil
-}
-
-func (o *opCtx) promote(r *nref) {
-	r.f.Latch.Promote()
-	o.tr.Promoted(&r.f.Latch)
-	r.mode = latch.X
-}
-
-// step releases cur and acquires pid. Without reclamation no coupling is
-// needed (CNS: nodes are immortal, a saved pointer always names a live
-// node). With Options.Reclaim the target of a saved pointer may have been
-// freed — and its page recycled — between the release and the acquire, so
-// the step latch-couples: the reaper removes a page's last reference
-// under the referencer's X latch before freeing, so a reader holding the
-// source while acquiring the target either passes before the cut or
-// finds the edge already gone.
-func (t *Tree) step(o *opCtx, cur *nref, pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	if t.opts.Reclaim {
-		next, err := o.acquire(pid, mode, level)
-		o.release(cur)
-		return next, err
+	s.t.Stats.HistSibWalks.Add(1)
+	if sched {
+		s.t.noteHistSibling(n)
 	}
-	o.release(cur)
-	return o.acquire(pid, mode, level)
 }
 
 // descend walks from the root to the node at stopLevel whose directly
-// contained rectangle includes (k, time), latched in finalMode. Sibling
-// traversals at any level schedule the corresponding completing posting
-// when sched is true. Interior levels are navigated optimistically
-// (version-validated snapshot reads, no latches); after bounded
-// validation failures the descent falls back to the latched path.
+// contained rectangle includes (k, time), latched in finalMode (see
+// pitree.Tree.Descend).
 func (t *Tree) descend(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	if !t.opts.PessimisticDescent {
-		if r, err, ok := t.descendOptimistic(o, k, time, stopLevel, finalMode, sched); ok {
-			return r, err
-		}
-		t.Stats.OptimisticFallbacks.Add(1)
-	}
-	return t.descendLatched(o, k, time, stopLevel, finalMode, sched)
-}
-
-// descendLatched is the fully latched descent (CNS: one latch at a
-// time).
-func (t *Tree) descendLatched(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	cur, err := o.acquire(t.root, latch.S, maxLevel)
-	if err != nil {
-		return nref{}, err
-	}
-	if cur.n.Level < stopLevel {
-		o.release(&cur)
-		return nref{}, errLevelGone
-	}
-	if cur.n.Level == stopLevel && finalMode != latch.S {
-		lvl := cur.n.Level
-		o.release(&cur)
-		cur, err = o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err
-		}
-		if cur.n.Level != stopLevel {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-	}
-	return t.descendFrom(o, cur, k, time, stopLevel, finalMode, sched)
-}
-
-// descendFrom continues a latched descent from cur (already latched, at
-// or above stopLevel). The optimistic descent also lands here for the
-// final level's sibling traversals, which always run latched.
-func (t *Tree) descendFrom(o *opCtx, cur nref, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	for {
-		// Key-sibling traversal (any level).
-		for !cur.n.Rect.ContainsKey(k) {
-			if cur.n.Rect.KeyLow != nil && keys.Compare(k, cur.n.Rect.KeyLow) < 0 {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			sib := cur.n.KeySib
-			if sib == storage.NilPage {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			t.Stats.KeySibWalks.Add(1)
-			if sched {
-				t.noteKeySibling(cur.n, cur.pid())
-			}
-			next, err := t.step(o, &cur, sib, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-		}
-		// History-sibling traversal (data level only; index nodes span
-		// all time).
-		for cur.n.IsData() && time < cur.n.Rect.TimeLow {
-			hist := cur.n.HistSib
-			if hist == storage.NilPage {
-				// No history before the tree existed: land here.
-				break
-			}
-			t.Stats.HistSibWalks.Add(1)
-			if sched {
-				t.noteHistSibling(cur.n)
-			}
-			next, err := t.step(o, &cur, hist, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-			// A history node's key range can be wider than the search
-			// path suggests; keys stay inside by construction.
-		}
-		if cur.n.Level == stopLevel {
-			return cur, nil
-		}
-		var child storage.PageID
-		if cur.n.Level == 1 {
-			e, ok := cur.n.chooseTerm(k, time)
-			if !ok {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			child = e.Child
-		} else {
-			e, ok := cur.n.keyChildFor(k)
-			if !ok {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			child = e.Child
-		}
-		childLevel := cur.n.Level - 1
-		childMode := latch.S
-		if childLevel == stopLevel {
-			childMode = finalMode
-		}
-		next, err := t.step(o, &cur, child, childMode, childLevel)
-		if err != nil {
-			return nref{}, err
-		}
-		cur = next
-	}
-}
-
-// --- optimistic descent ------------------------------------------------------
-
-// optRetries bounds full-descent restarts after validation failures
-// before the operation falls back to the latched path.
-const optRetries = 3
-
-// navRef is an unlatched, pinned view of a node: an immutable snapshot n
-// proved current at latch version v. The pin keeps the frame (and its
-// version counter) from being recycled while the reference is live.
-type navRef struct {
-	f *storage.Frame
-	n *Node
-	v uint64
-}
-
-// optCounters accumulates a descent's snapshot-read outcomes locally;
-// the shared Stats words are touched once per operation, not per level.
-type optCounters struct {
-	hits    int64
-	retries int64
-}
-
-// navLoad returns a validated snapshot of the pinned frame f; see the
-// core package's navLoad for the protocol. ok is false when the frame
-// does not hold a node (the caller falls back to the latched path).
-func (t *Tree) navLoad(f *storage.Frame, c *optCounters) (navRef, bool) {
-	if data, pub, ok := f.NavSnapshot(); ok {
-		if v, quiet := f.Latch.OptimisticRead(); quiet && v == pub {
-			n, isNode := data.(*Node)
-			if !isNode {
-				return navRef{}, false
-			}
-			c.hits++
-			return navRef{f: f, n: n, v: v}, true
-		}
-		c.retries++
-	}
-	f.Latch.AcquireS()
-	n, isNode := f.Data.(*Node)
-	if !isNode {
-		f.Latch.ReleaseS()
-		return navRef{}, false
-	}
-	snap := n.clone()
-	v := f.Latch.Version()
-	f.PublishNav(snap, v)
-	f.Latch.ReleaseS()
-	return navRef{f: f, n: snap, v: v}, true
-}
-
-// descendOptimistic runs bounded optimistic passes from the root; ok is
-// false when the budget is exhausted and the caller must fall back.
-func (t *Tree) descendOptimistic(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	var c optCounters
-	r, err, ok := nref{}, error(nil), false
-	for attempt := 0; attempt <= optRetries; attempt++ {
-		var done bool
-		r, err, done = t.optPass(o, &c, k, time, stopLevel, finalMode, sched)
-		if done {
-			ok = true
-			break
-		}
-	}
-	if c.hits > 0 {
-		t.Stats.OptimisticHits.Add(c.hits)
-	}
-	if c.retries > 0 {
-		t.Stats.OptimisticRetries.Add(c.retries)
-	}
-	return r, err, ok
-}
-
-// optPass is one optimistic descent from the root. The TSB tree obeys
-// the CNS invariant — nodes never move and index nodes are never
-// de-allocated — so a pointer read from a validated snapshot always
-// names a live node and no source re-validation is needed after
-// following it: a stale snapshot routes exactly like a slightly earlier
-// latched reader, and sibling pointers make every well-formed state
-// navigable. Validation here only bounds staleness (navLoad refreshes a
-// snapshot whose version moved). The one exception is the final
-// level-1→data edge under Options.Reclaim: data pages CAN then be freed
-// and recycled, so after latching the child the source snapshot is
-// re-validated, exactly like the core (CP) tree's final edge — a stale
-// term in an old snapshot must not hand back a recycled page. The final
-// node is latched in finalMode; history-sibling walks happen only at the
-// data level, which is the stop level for every data access, so they
-// always run latched in descendFrom.
-func (t *Tree) optPass(o *opCtx, c *optCounters, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	pool := t.store.Pool
-	f, err := t.rootFrame()
-	if err != nil {
-		return nref{}, err, true
-	}
-	cur, ok := t.navLoad(f, c)
-	if !ok {
-		pool.Unpin(f)
-		return nref{}, nil, false
-	}
-	if cur.n.Level < stopLevel {
-		pool.Unpin(f)
-		return nref{}, errLevelGone, true
-	}
-	if cur.n.Level == stopLevel {
-		// The root is the target: latch it and re-check like the latched
-		// path does (the root never moves).
-		lvl := cur.n.Level
-		pool.Unpin(f)
-		r, err := o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err, true
-		}
-		if r.n.Level != stopLevel {
-			o.release(&r)
-			return nref{}, errRetry, true
-		}
-		r2, err := t.descendFrom(o, r, k, time, stopLevel, finalMode, sched)
-		return r2, err, true
-	}
-
-	for {
-		// Key-sibling traversal on validated snapshots. (History-sibling
-		// walks never occur here: they exist only at the data level.)
-		if !cur.n.Rect.ContainsKey(k) {
-			if cur.n.Rect.KeyLow != nil && keys.Compare(k, cur.n.Rect.KeyLow) < 0 {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			sib := cur.n.KeySib
-			if sib == storage.NilPage {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			t.Stats.KeySibWalks.Add(1)
-			if sched {
-				t.noteKeySibling(cur.n, cur.f.ID)
-			}
-			next, err, done := t.optStep(cur, c, sib, cur.n.Level)
-			if !done {
-				return nref{}, nil, false
-			}
-			if err != nil {
-				return nref{}, err, true
-			}
-			cur = next
-			continue
-		}
-
-		var child storage.PageID
-		if cur.n.Level == 1 {
-			e, ok := cur.n.chooseTerm(k, time)
-			if !ok {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			child = e.Child
-		} else {
-			e, ok := cur.n.keyChildFor(k)
-			if !ok {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			child = e.Child
-		}
-		childLevel := cur.n.Level - 1
-		if childLevel == stopLevel {
-			// Final edge: latch the child in finalMode. Without Reclaim no
-			// source validation is needed — the child is immortal. With it,
-			// the term may be stale and the page freed or recycled: prove
-			// the source snapshot still current after the acquire (and
-			// blame staleness, not I/O, for a failed fetch) before
-			// trusting the child.
-			r, err := o.acquire(child, finalMode, childLevel)
-			if t.opts.Reclaim {
-				if err != nil {
-					stale := !cur.f.Latch.Validate(cur.v)
-					pool.Unpin(cur.f)
-					if stale {
-						return nref{}, nil, false
-					}
-					return nref{}, err, true
-				}
-				if !cur.f.Latch.Validate(cur.v) {
-					o.release(&r)
-					pool.Unpin(cur.f)
-					return nref{}, nil, false
-				}
-			}
-			pool.Unpin(cur.f)
-			if err != nil {
-				return nref{}, err, true
-			}
-			if r.n.Level != stopLevel {
-				o.release(&r)
-				return nref{}, nil, false
-			}
-			r2, err := t.descendFrom(o, r, k, time, stopLevel, finalMode, sched)
-			return r2, err, true
-		}
-		next, err, done := t.optStep(cur, c, child, childLevel)
-		if !done {
-			return nref{}, nil, false
-		}
-		if err != nil {
-			return nref{}, err, true
-		}
-		cur = next
-	}
-}
-
-// optStep follows one edge from cur to pid (expected at level). cur's
-// pin is consumed. CNS: the target is immortal, so no source
-// re-validation is performed after loading it. done=false aborts the
-// pass (non-node frame or defensive level mismatch).
-func (t *Tree) optStep(cur navRef, c *optCounters, pid storage.PageID, level int) (navRef, error, bool) {
-	pool := t.store.Pool
-	pool.Unpin(cur.f)
-	nf, err := pool.Fetch(pid)
-	if err != nil {
-		return navRef{}, err, true
-	}
-	next, ok := t.navLoad(nf, c)
-	if !ok {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	if next.n.Level != level {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	return next, nil, true
-}
-
-func (t *Tree) retryLoop(fn func() error) error {
-	for {
-		err := fn()
-		if errors.Is(err, errRetry) {
-			t.Stats.Restarts.Add(1)
-			continue
-		}
-		return err
-	}
+	return t.pi.Descend(o, target{k, time}, stopLevel, finalMode, sched, nil)
 }
 
 // --- public operations -------------------------------------------------------
@@ -784,31 +339,27 @@ func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 
 func (t *Tree) put(tx *txn.Txn, key keys.Key, value []byte, deleted bool) error {
 	t.Stats.Puts.Add(1)
-	return t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	return t.pi.Retry(func() error {
+		o := t.pi.NewOp(tx)
+		defer o.Done()
 		leaf, err := t.descend(o, key, NoEnd-1, 0, latch.U, true)
 		if err != nil {
 			return err
 		}
-		if !leaf.n.Current() {
+		if !leaf.N.Current() {
 			// Writes must land on a current node; an approximate descent
 			// that ends in history restarts (selection makes this rare).
-			o.release(&leaf)
-			return errRetry
+			o.Release(&leaf)
+			return pitree.ErrRetry
 		}
-		if tx != nil && !tx.TryLock(t.recLockName(key), lock.X) {
-			o.release(&leaf)
-			if err := tx.Lock(t.recLockName(key), lock.X); err != nil {
-				return err
-			}
-			return errRetry
+		if err := o.LockDance(&leaf, t.recLockName(key), lock.X); err != nil {
+			return err
 		}
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			if err := t.splitData(o, &leaf); err != nil {
 				return err
 			}
-			return errRetry
+			return pitree.ErrRetry
 		}
 		var lg *txn.Txn
 		if tx != nil {
@@ -816,23 +367,23 @@ func (t *Tree) put(tx *txn.Txn, key keys.Key, value []byte, deleted bool) error 
 		} else {
 			lg = t.tm.BeginAtomicAction()
 		}
-		o.promote(&leaf)
+		o.Promote(&leaf)
 		ts := t.tick()
 		var writer wal.TxnID
 		if tx != nil {
 			writer = tx.ID // snapshot visibility resolves it; AA puts (0) are atomic under the latch
 		}
 		e := Entry{Key: keys.Clone(key), Start: ts, Value: append([]byte(nil), value...), Deleted: deleted, Txn: writer}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindPut, encPut(e))
-		leaf.n.insertVersion(e)
-		leaf.f.MarkDirty(lsn)
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.PID()), KindPut, encPut(e))
+		leaf.N.insertVersion(e)
+		leaf.F.MarkDirty(lsn)
 		if tx == nil {
 			if cerr := lg.Commit(); cerr != nil {
-				o.release(&leaf)
+				o.Release(&leaf)
 				return cerr
 			}
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -849,29 +400,25 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 	t.Stats.Gets.Add(1)
 	var val []byte
 	var found bool
-	err := t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	err := t.pi.Retry(func() error {
+		o := t.pi.NewOp(tx)
+		defer o.Done()
 		leaf, err := t.descend(o, key, time, 0, latch.S, true)
 		if err != nil {
 			return err
 		}
-		if tx != nil && time >= t.Now() {
-			if !tx.TryLock(t.recLockName(key), lock.S) {
-				o.release(&leaf)
-				if err := tx.Lock(t.recLockName(key), lock.S); err != nil {
-					return err
-				}
-				return errRetry
+		if time >= t.Now() {
+			if err := o.LockDance(&leaf, t.recLockName(key), lock.S); err != nil {
+				return err
 			}
 		}
-		if i, ok := leaf.n.searchVersion(key, time); ok && !leaf.n.Entries[i].Deleted {
-			val = append([]byte(nil), leaf.n.Entries[i].Value...)
+		if i, ok := leaf.N.searchVersion(key, time); ok && !leaf.N.Entries[i].Deleted {
+			val = append([]byte(nil), leaf.N.Entries[i].Value...)
 			found = true
 		} else {
 			val, found = nil, false
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 	return val, found, err
@@ -889,10 +436,10 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 		var batch []rec
 		var next keys.Key
 		done := false
-		err := t.retryLoop(func() error {
+		err := t.pi.Retry(func() error {
 			batch = batch[:0]
-			o := t.newOp(nil)
-			defer o.done()
+			o := t.pi.NewOp(nil)
+			defer o.Done()
 			leaf, err := t.descend(o, cursor, time, 0, latch.S, true)
 			if err != nil {
 				return err
@@ -909,7 +456,7 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				}
 				curKey, curVal, curDel = nil, nil, false
 			}
-			for _, e := range leaf.n.Entries {
+			for _, e := range leaf.N.Entries {
 				if keys.Compare(e.Key, cursor) < 0 {
 					continue
 				}
@@ -926,10 +473,10 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				curVal, curDel = e.Value, e.Deleted
 			}
 			flush()
-			if leaf.n.Rect.KeyHigh.Unbounded {
+			if leaf.N.Rect.KeyHigh.Unbounded {
 				done = true
 			} else {
-				next = keys.Clone(leaf.n.Rect.KeyHigh.Key)
+				next = keys.Clone(leaf.N.Rect.KeyHigh.Key)
 				if hi != nil && keys.Compare(next, hi) >= 0 {
 					done = true
 				}
@@ -939,9 +486,9 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				// descend to; start its disk read under this leaf's latch so
 				// it overlaps the callback work on this batch. The hint's
 				// run (leaves consumed so far) ramps the read-ahead depth.
-				t.store.Pool.PrefetchAsync(leaf.n.KeySib, leaves)
+				t.store.Pool.PrefetchAsync(leaf.N.KeySib, leaves)
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			return nil
 		})
 		if err != nil {
@@ -983,9 +530,9 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 	if !ok {
 		return fmt.Errorf("tsb: logical undo for unknown txn %d", rec.TxnID)
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.pi.Retry(func() error {
+		o := t.pi.NewOp(nil)
+		defer o.Done()
 		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
 		if err != nil {
 			return err
@@ -994,35 +541,35 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 		// a crash mid-undo re-runs the whole logical undo, which is
 		// idempotent. Only the terminal CLR advances past rec.
 		for {
-			if _, ok := cur.n.versionPos(e.Key, e.Start); ok {
+			if _, ok := cur.N.versionPos(e.Key, e.Start); ok {
 				// Fetch the carryover repair before mutating anything:
-				// the chain walk can fail with errRetry, and the whole
+				// the chain walk can fail with pitree.ErrRetry, and the whole
 				// undo must be restartable with the node still intact.
 				repair, repaired, err := t.carryRepair(o, &cur, e)
 				if err != nil {
-					o.release(&cur)
+					o.Release(&cur)
 					return err
 				}
-				o.promote(&cur)
-				lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(cur.pid()), KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
-				cur.n.removeVersion(e.Key, e.Start)
+				o.Promote(&cur)
+				lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(cur.PID()), KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
+				cur.N.removeVersion(e.Key, e.Start)
 				if repaired {
-					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.pid()), KindPut, encPut(repair), rec.LSN)
-					cur.n.insertVersion(repair)
+					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.PID()), KindPut, encPut(repair), rec.LSN)
+					cur.N.insertVersion(repair)
 				}
-				cur.f.MarkDirty(lsn)
+				cur.F.MarkDirty(lsn)
 			}
-			if cur.n.Rect.TimeLow <= e.Start || cur.n.HistSib == storage.NilPage {
+			if cur.N.Rect.TimeLow <= e.Start || cur.N.HistSib == storage.NilPage {
 				break
 			}
-			hist := cur.n.HistSib
-			next, err := t.step(o, &cur, hist, latch.U, 0)
+			hist := cur.N.HistSib
+			next, err := o.Step(&cur, hist, latch.U, 0)
 			if err != nil {
 				return err
 			}
 			cur = next
 		}
-		o.release(&cur)
+		o.Release(&cur)
 		tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 		return nil
 	})
@@ -1044,37 +591,37 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 // required every newer live node to carry the survivors' newest copies,
 // so the predecessor would have been found before reaching it).
 func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
-	if e.Start >= cur.n.Rect.TimeLow || cur.n.HistSib == storage.NilPage {
+	if e.Start >= cur.N.Rect.TimeLow || cur.N.HistSib == storage.NilPage {
 		return Entry{}, false, nil
 	}
-	lo, hi := keyGroup(cur.n, e.Key)
+	lo, hi := keyGroup(cur.N, e.Key)
 	for i := lo; i < hi; i++ {
-		if cur.n.Entries[i].Start < cur.n.Rect.TimeLow && cur.n.Entries[i].Start != e.Start {
+		if cur.N.Entries[i].Start < cur.N.Rect.TimeLow && cur.N.Entries[i].Start != e.Start {
 			return Entry{}, false, nil // another below-TimeLow copy remains
 		}
 	}
 	var prev nref
-	for pid := cur.n.HistSib; pid != storage.NilPage; {
-		h, err := o.acquire(pid, latch.S, 0)
-		o.release(&prev) // no-op on the first edge: cur itself stays held
+	for pid := cur.N.HistSib; pid != storage.NilPage; {
+		h, err := o.Acquire(pid, latch.S, 0)
+		o.Release(&prev) // no-op on the first edge: cur itself stays held
 		if err != nil {
 			return Entry{}, false, err
 		}
-		lo, hi := keyGroup(h.n, e.Key)
+		lo, hi := keyGroup(h.N, e.Key)
 		for i := hi - 1; i >= lo; i-- {
-			if h.n.Entries[i].Start < e.Start {
-				out := cloneEntry(h.n.Entries[i])
-				o.release(&h)
+			if h.N.Entries[i].Start < e.Start {
+				out := cloneEntry(h.N.Entries[i])
+				o.Release(&h)
 				return out, true, nil
 			}
 		}
-		if hi == lo || h.n.Entries[lo].Start >= h.n.Rect.TimeLow {
-			o.release(&h)
+		if hi == lo || h.N.Entries[lo].Start >= h.N.Rect.TimeLow {
+			o.Release(&h)
 			return Entry{}, false, nil
 		}
-		pid = h.n.HistSib
+		pid = h.N.HistSib
 		prev = h
 	}
-	o.release(&prev)
+	o.Release(&prev)
 	return Entry{}, false, nil
 }

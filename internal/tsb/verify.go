@@ -32,26 +32,13 @@ type Shape struct {
 //     allocated pages one level down with matching low keys.
 func (t *Tree) Verify() (Shape, error) {
 	var shape Shape
-	pool := t.store.Pool
 
 	// Every page the walk touches is reachable; the set feeds the store's
 	// free-space cross-check at the end (no page both free and reachable).
 	reachable := make(map[storage.PageID]bool)
-	getNode := func(pid storage.PageID) (*Node, error) {
-		f, err := pool.Fetch(pid)
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Unpin(f)
-		n, ok := f.Data.(*Node)
-		if !ok {
-			return nil, fmt.Errorf("page %d holds %T", pid, f.Data)
-		}
-		reachable[pid] = true
-		return n, nil
-	}
+	getNode := func(pid storage.PageID) (*Node, error) { return t.pi.Peek(pid, reachable) }
 
-	root, err := getNode(t.root)
+	root, err := getNode(t.pi.Root)
 	if err != nil {
 		return shape, fmt.Errorf("tsb verify: root: %w", err)
 	}
@@ -61,7 +48,7 @@ func (t *Tree) Verify() (Shape, error) {
 	shape.Height = root.Level + 1
 
 	// Index levels: chain by key sibling; check coverage and terms.
-	leftmost := t.root
+	leftmost := t.pi.Root
 	for level := root.Level; level >= 1; level-- {
 		pid := leftmost
 		var prevHigh keys.Bound
